@@ -20,7 +20,8 @@ def _binom_falling(n: int, k: int) -> int:
     for t in range(k):
         num *= n - t
     q, r = divmod(num, factorial(k))
-    assert r == 0
+    if r:
+        raise ArithmeticError(f"{k}! does not divide the falling factorial of {n}")
     return q
 
 

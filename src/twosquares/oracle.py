@@ -84,8 +84,14 @@ def search_with_stats(g: Word, bound: int) -> SearchOutcome:
     if a is None:
         return SearchOutcome(None, checked, bound)
     witness = Witness(Word._from_reduced(a), Word._from_reduced(b), "squares")
-    assert witness.product() == g
+    _verify(witness, g)
     return SearchOutcome(witness, checked, bound)
+
+
+def _verify(witness: Witness, target: Word) -> None:
+    """Re-multiply a witness; an explicit raise, so ``python -O`` keeps it."""
+    if witness.product() != target:
+        raise RuntimeError(f"witness {witness} does not multiply to {target}")
 
 
 def squares_to_conjugates(w: Witness) -> Witness:
@@ -94,7 +100,7 @@ def squares_to_conjugates(w: Witness) -> Witness:
         raise ValueError("expected a witness in squares form")
     target = w.product()
     out = Witness(w.a * w.b, w.b, "conjugates")
-    assert out.product() == target
+    _verify(out, target)
     return out
 
 
@@ -104,5 +110,5 @@ def conjugates_to_squares(w: Witness) -> Witness:
         raise ValueError("expected a witness in conjugates form")
     target = w.product()
     out = Witness(w.a * ~w.b, w.b, "squares")
-    assert out.product() == target
+    _verify(out, target)
     return out

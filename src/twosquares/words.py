@@ -7,6 +7,7 @@ internally a word is a bytes string of letter codes (see kernel).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -220,94 +221,108 @@ def parse(expr: str) -> Word:
     optional ^integer; an atom is one of x, y, X, Y, e, a parenthesised
     word, or a commutator [u,v] meaning u v u^-1 v^-1.  X and Y denote
     the inverses of x and y, juxtaposition is the product, whitespace is
-    ignored, and both "e" and "" denote the identity.
+    ignored, and both "e" and "" denote the identity.  An exponent is an
+    optional "-" directly followed by decimal digits.
+
+    One left-to-right pass with an explicit stack of open groups, reducing
+    as it goes: the time is linear in the input plus the total length of
+    the group values built, and nesting depth is not bounded by the
+    recursion limit.
 
     >>> parse("[x,y]")
     Word('xyXY')
     >>> parse("[x^2,y^3]")
     Word('x^2y^3X^2Y^3')
     """
-    parser = _Parser(expr)
-    word = parser.parse_word(stoppers="")
-    parser.skip_ws()
-    if parser.pos != len(expr):
-        raise ParseError(f"unexpected {expr[parser.pos]!r}", parser.pos)
-    return word
+    buf = bytearray()  # reduced codes of the innermost open group
+    stack = []  # enclosing groups: (opener, position, outer buf, left factor)
+    for m in _TOKEN.finditer(expr):
+        atom, sign, digits, other = m.groups()
+        if atom is None:
+            if other == "(" or other == "[":
+                stack.append((other, m.start(4), buf, None))
+                buf = bytearray()
+            elif other == "," and stack and stack[-1][0] == "[":
+                opener, pos, outer, left = stack[-1]
+                if left is not None:
+                    raise ParseError("unclosed '['", pos)
+                stack[-1] = (opener, pos, outer, Word._from_reduced(bytes(buf)))
+                buf = bytearray()
+            else:
+                raise ParseError(f"unexpected {other!r}", m.start(4))
+            continue
+        code = _CODE_OF.get(atom)
+        if code is not None:
+            n = 1 if sign is None else _exponent(sign, digits, m.start(2))
+            if n < 0:
+                code ^= 1
+                n = -n
+            if buf and buf[-1] == code ^ 1:
+                _merge(buf, _LETTER[code] * n)
+            else:
+                buf += _LETTER[code] * n
+            continue
+        if atom == "e":
+            if sign is not None:
+                _exponent(sign, digits, m.start(2))
+            continue
+        # a closing bracket: it must match the innermost open group
+        if not stack or stack[-1][0] != ("(" if atom == ")" else "["):
+            raise ParseError(f"unexpected {atom!r}", m.start(1))
+        _, pos, outer, left = stack.pop()
+        if atom == ")":
+            group = buf
+        elif left is None:
+            raise ParseError("expected ',' in commutator", pos)
+        else:
+            group = commutator(left, Word._from_reduced(bytes(buf))).codes
+        n = 1 if sign is None else _exponent(sign, digits, m.start(2))
+        if n != 1:
+            group = (Word._from_reduced(bytes(group)) ** n).codes
+        if outer or group is not buf:
+            _merge(outer, group)
+            buf = outer
+    if stack:
+        opener, pos, _, left = stack[-1]
+        if opener == "(":
+            raise ParseError("unclosed '('", pos)
+        if left is None:
+            raise ParseError("expected ',' in commutator", pos)
+        raise ParseError("unclosed '['", pos)
+    return Word._from_reduced(bytes(buf))
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# One match per token.  A letter, e or closing bracket carries its optional
+# exponent: "^", an optional "-" and decimal digits (``\d`` is exactly
+# str.isdecimal, the digits int() accepts); the digits may be empty, which
+# the parser reports.  Any other non-space character is a one-character
+# token.  Each token absorbs the whitespace before it, so the matches cover
+# the whole input except trailing whitespace.
+_TOKEN = re.compile(r"\s*(?:([xXyYe)\]])(?:\s*\^\s*(-?)(\d*))?|(\S))")
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+_LETTER = tuple(bytes((c,)) for c in range(4))
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse_word(self, stoppers: str) -> Word:
-        result = _IDENTITY
-        while True:
-            ch = self.peek()
-            if ch == "" or ch in stoppers:
-                return result
-            result = result * self.parse_term()
-
-    def parse_term(self) -> Word:
-        atom = self.parse_atom()
-        if self.peek() == "^":
-            self.pos += 1
-            return atom ** self.parse_int()
-        return atom
-
-    def parse_atom(self) -> Word:
-        ch = self.peek()
-        pos = self.pos
-        if ch in _CODE_OF:
-            self.pos += 1
-            return Word._from_reduced(bytes([_CODE_OF[ch]]))
-        if ch == "e":
-            self.pos += 1
-            return _IDENTITY
-        if ch == "(":
-            self.pos += 1
-            inner = self.parse_word(stoppers=")")
-            if self.peek() != ")":
-                raise ParseError("unclosed '('", pos)
-            self.pos += 1
-            return inner
-        if ch == "[":
-            self.pos += 1
-            left = self.parse_word(stoppers=",]")
-            if self.peek() != ",":
-                raise ParseError("expected ',' in commutator", pos)
-            self.pos += 1
-            right = self.parse_word(stoppers=",]")
-            if self.peek() != "]":
-                raise ParseError("unclosed '['", pos)
-            self.pos += 1
-            return commutator(left, right)
-        if ch == "":
-            raise ParseError("unexpected end of expression", self.pos)
-        raise ParseError(f"unexpected {ch!r}", self.pos)
-
-    def parse_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        sign = 1
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            sign = -1
-            self.pos += 1
-        digits_start = self.pos
+def _exponent(sign: str, digits: str, start: int) -> int:
+    if not digits:
+        raise ParseError("expected an integer after '^'", start)
+    if len(digits) < 19:  # below 10^18, so within MAX_EXPONENT
+        value = int(digits)
+    else:
         value = 0
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            value = value * 10 + int(self.text[self.pos])
+        for ch in digits:
+            value = value * 10 + int(ch)
             if value > MAX_EXPONENT:
                 raise ParseError("exponent overflow", start)
-            self.pos += 1
-        if self.pos == digits_start:
-            raise ParseError("expected an integer after '^'", start)
-        return sign * value
+    return -value if sign else value
+
+
+def _merge(buf: bytearray, codes: bytes) -> None:
+    """buf := reduce(buf + codes), for reduced buf and codes."""
+    i = 0
+    n = min(len(buf), len(codes))
+    while i < n and buf[-1 - i] == codes[i] ^ 1:
+        i += 1
+    if i:
+        del buf[-i:]
+    buf += codes[i:]

@@ -219,3 +219,11 @@ def test_criterion_9_square_root_exhaustive():
                 assert root is None
         for v in words:
             assert square_root(v * v) == v
+
+
+def test_criterion_10_linear_parse():
+    text = "xy" * 80_000
+    expected = Word(b"\x00\x02" * 80_000)
+    parse("xy" * 1000)  # warm-up outside the timed window
+    with criterion(10, "parse 160k letters in one linear pass", 0.5):
+        assert parse(text) == expected

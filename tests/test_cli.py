@@ -118,6 +118,11 @@ class TestErrors:
         assert code == EXIT_USAGE
         assert "position" in err
 
+    def test_non_decimal_exponent_is_parse_error(self, capsys):
+        code, _, err = run_cli(capsys, "check", "x^²")
+        assert code == EXIT_USAGE
+        assert "parse error: expected an integer after '^' (position 2)" in err
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, "check", "--frob", "[x,y]")
         assert code == EXIT_USAGE

@@ -2,6 +2,7 @@
 
 import pytest
 
+from twosquares import kernel
 from twosquares import (
     InapplicableCriterionError,
     Witness,
@@ -83,6 +84,12 @@ class TestSearch:
             w = search_two_squares(g, len(a))
             assert w is not None
             assert w.product() == g
+
+    def test_wrong_kernel_pair_is_rejected(self, monkeypatch):
+        # an explicit check, not an assert, so it also runs under python -O
+        monkeypatch.setattr(kernel, "search_square_pair", lambda codes, bound: (b"\x00", b"", 1))
+        with pytest.raises(RuntimeError, match="does not multiply"):
+            search_with_stats(parse("[x^2,y]"), 3)
 
     def test_shortlex_least_witness(self):
         # x^4: both e (root x^2) and the least candidate; a must be e

@@ -1,8 +1,10 @@
 """Word-core: parsing, reduction, group operations, square roots."""
 
 import doctest
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twosquares.words
 from twosquares import (
@@ -22,6 +24,7 @@ from twosquares import (
 from twosquares.oracle import enumerate_reduced
 
 from conftest import random_reduced
+from reference_parser import reference_parse
 
 
 def naive_reduce(codes):
@@ -55,6 +58,7 @@ class TestParse:
 
     def test_whitespace_and_nesting(self):
         assert parse(" ( x y ) ^ 2 ") == Word("xyxy")
+        assert parse("\tx\n^\u00a02") == Word("xx")  # any str.isspace character
         assert parse("[x,[x,y]]") == commutator(Word("x"), Word("xyXY"))
 
     def test_uppercase_inverses(self):
@@ -64,6 +68,7 @@ class TestParse:
     def test_negative_and_zero_exponents(self):
         assert parse("(xy)^-1") == Word("YX")
         assert parse("x^0") == Word()
+        assert parse("x ^ -2") == Word("XX")
 
     def test_syntax_error_position(self):
         with pytest.raises(ParseError) as info:
@@ -81,6 +86,24 @@ class TestParse:
     def test_missing_exponent(self):
         with pytest.raises(ParseError):
             parse("x^")
+        with pytest.raises(ParseError) as info:
+            parse("x^- 2")  # the sign binds to the digits
+        assert info.value.position == 2
+
+    def test_exponent_digits_are_decimal(self):
+        # "²" passes str.isdigit, but int() rejects it
+        with pytest.raises(ParseError) as info:
+            parse("x^²")
+        assert str(info.value) == "expected an integer after '^' (position 2)"
+        assert parse("x^٣") == Word("xxx")  # ARABIC-INDIC DIGIT THREE
+
+    def test_nesting_depth_is_unbounded(self):
+        depth = 10_000
+        assert parse("(" * depth + "x" + ")" * depth) == Word("x")
+        assert parse("(" * depth + "[x,y]" + ")" * depth) == Word("xyXY")
+        with pytest.raises(ParseError) as info:
+            parse("(" * depth)
+        assert str(info.value) == f"unclosed '(' (position {depth - 1})"
 
     def test_exponent_overflow(self):
         with pytest.raises(ParseError) as info:
@@ -91,6 +114,46 @@ class TestParse:
         for _ in range(200):
             w = random_reduced(rng, rng.randrange(0, 15))
             assert parse(str(w)) == w
+
+
+FUZZ_ALPHABET = "xXyYe()[],^-0123 9"
+
+
+def parse_outcome(parser, expr):
+    """The Word a parser returns, or the message and position of its ParseError."""
+    try:
+        return parser(expr)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def small_exponents(expr):
+    # Neither parser caps a word by its length, so "(x^9999)^9999" would
+    # build 10^8 letters twice over; runs of four or more digits are left
+    # out to keep memory small.
+    return re.search(r"\d{4}", expr) is None
+
+
+class TestParseAgainstReference:
+    """The streaming parser against the recursive-descent reference.
+
+    Both must return the same Word, or raise ParseError with the same
+    message and position.
+    """
+
+    def test_seeded_random_strings(self, rng):
+        compared = 0
+        for _ in range(20_000):
+            expr = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randint(1, 13)))
+            if small_exponents(expr):
+                assert parse_outcome(parse, expr) == parse_outcome(reference_parse, expr), expr
+                compared += 1
+        assert compared > 19_000
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(FUZZ_ALPHABET, min_size=1, max_size=13).filter(small_exponents))
+    def test_hypothesis_strings(self, expr):
+        assert parse_outcome(parse, expr) == parse_outcome(reference_parse, expr)
 
 
 class TestGroupOps:
