@@ -19,10 +19,7 @@ from .words import (
     commutator,
     conjugate,
     in_commutator_subgroup,
-    invert,
-    multiply,
     parse,
-    power,
     square_root,
     three_squares,
 )
@@ -33,7 +30,6 @@ from .cover import (
     homology_image,
     lift_chain,
     lift_trace,
-    translate_chain,
 )
 from .obstructions import (
     DEFAULT_DEPTH,
@@ -77,10 +73,7 @@ __all__ = [
     "commutator",
     "conjugate",
     "in_commutator_subgroup",
-    "invert",
-    "multiply",
     "parse",
-    "power",
     "square_root",
     "three_squares",
     "Laurent1",
@@ -90,7 +83,6 @@ __all__ = [
     "homology_image",
     "lift_chain",
     "lift_trace",
-    "translate_chain",
     "DEFAULT_DEPTH",
     "FactorReport",
     "FirstObstruction",

@@ -148,22 +148,24 @@ def run(config: CliConfig) -> int:
                 print("trace: " + "".join(f"({i},{j})" for i, j in lift_trace(word)))
         return EXIT_OK
 
-    assert config.command == "search"
-    outcome = search_with_stats(word, bound)
-    if config.format == "json":
-        _emit_json(outcome.to_json())
-    elif outcome.witness is not None:
-        w = outcome.witness
-        print(
-            f"witness: a = {w.a}, b = {w.b}; {word} = a^2 b^2 "
-            f"(checked {outcome.checked} candidates, bound {outcome.bound})"
-        )
-    else:
-        print(
-            f"inconclusive at bound {outcome.bound}: no witness with "
-            f"|a| <= {outcome.bound} (checked {outcome.checked} candidates)"
-        )
-    return EXIT_OK
+    if config.command == "search":
+        outcome = search_with_stats(word, bound)
+        if config.format == "json":
+            _emit_json(outcome.to_json())
+        elif outcome.witness is not None:
+            w = outcome.witness
+            print(
+                f"witness: a = {w.a}, b = {w.b}; {word} = a^2 b^2 "
+                f"(checked {outcome.checked} candidates, bound {outcome.bound})"
+            )
+        else:
+            print(
+                f"inconclusive at bound {outcome.bound}: no witness with "
+                f"|a| <= {outcome.bound} (checked {outcome.checked} candidates)"
+            )
+        return EXIT_OK
+
+    raise ValueError(f"unknown command {config.command!r}")
 
 
 def _flag(defined: bool) -> str:
@@ -213,8 +215,7 @@ def render_report(report: ObstructionReport) -> str:
                 f"({report.search.checked} candidates checked)"
             )
     v = report.verdict
-    if v.kind == "TwoSquares":
-        assert v.witness is not None
+    if v.kind == "TwoSquares":  # Verdict guarantees the witness
         lines.append(f"verdict: TwoSquares (a = {v.witness.a}, b = {v.witness.b})")
     else:
         lines.append(f"verdict: {v.kind} ({v.reason})")

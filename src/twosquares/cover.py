@@ -104,11 +104,6 @@ def lift_trace(w: Word) -> list[tuple[int, int]]:
     return points
 
 
-def translate_chain(c: ChainPair, a: int, b: int) -> ChainPair:
-    """The lattice translation by (a, b) applied to a chain."""
-    return c.translate(a, b)
-
-
 def homology_image(w: Word) -> ChainPair:
     """lift_chain restricted to loops; the class of w modulo backtracking.
 

@@ -2,15 +2,17 @@
 
 Coefficients are Python ints (arbitrary precision); a polynomial is a map
 from exponents to nonzero coefficients, so equality of maps is equality
-of polynomials.  Everything is exact: division either succeeds exactly or
-reports failure, and Taylor coefficients at 1 are computed as integers
-via falling factorials (the k-th derivative of an integer Laurent
-polynomial is always divisible by k!).
+of polynomials.  Everything is exact.  Taylor coefficients at 1 are
+binomial moments: with C(n, a) the generalised binomial, x^n expands at
+x = 1 as sum_a C(n, a) (x-1)^a for every integer n, so the coefficient
+of (x-1)^a of sum_n c_n x^n is the integer sum_n c_n C(n, a).
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Union
 
 
@@ -25,27 +27,35 @@ def _binom_falling(n: int, k: int) -> int:
     return q
 
 
-class Laurent1:
-    """Univariate integer Laurent polynomial, exponent -> coefficient."""
+def _collect(pairs: Iterable[tuple]) -> dict:
+    """Sum the coefficients of (exponent, coefficient) pairs, dropping zeros."""
+    terms: dict = {}
+    for e, c in pairs:
+        s = terms.get(e, 0) + c
+        if s:
+            terms[e] = s
+        else:
+            terms.pop(e, None)
+    return terms
+
+
+class _Sparse:
+    """Exponent -> nonzero coefficient; the ring operations of both types."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Optional[Mapping[int, int]] = None):
-        self._terms = {n: c for n, c in (terms or {}).items() if c != 0}
+    def __init__(self, terms: Optional[Mapping] = None):
+        self._terms = {e: c for e, c in (terms or {}).items() if c != 0}
 
     @classmethod
-    def _raw(cls, terms: dict[int, int]) -> "Laurent1":
+    def _raw(cls, terms: dict):
         p = cls.__new__(cls)
         p._terms = terms
         return p
 
     @classmethod
-    def zero(cls) -> "Laurent1":
+    def zero(cls):
         return cls._raw({})
-
-    @classmethod
-    def monomial(cls, n: int, c: int = 1) -> "Laurent1":
-        return cls({n: c})
 
     def items(self):
         return self._terms.items()
@@ -54,44 +64,43 @@ class Laurent1:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Laurent1) and self._terms == other._terms
+        return type(other) is type(self) and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def __add__(self, other: "Laurent1") -> "Laurent1":
-        terms = dict(self._terms)
-        for n, c in other._terms.items():
-            s = terms.get(n, 0) + c
-            if s:
-                terms[n] = s
-            else:
-                terms.pop(n, None)
-        return Laurent1._raw(terms)
+    def __add__(self, other):
+        return self._raw(_collect(chain(self._terms.items(), other._terms.items())))
 
-    def __neg__(self) -> "Laurent1":
-        return Laurent1._raw({n: -c for n, c in self._terms.items()})
+    def __neg__(self):
+        return self._raw({e: -c for e, c in self._terms.items()})
 
-    def __sub__(self, other: "Laurent1") -> "Laurent1":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: Union["Laurent1", int]) -> "Laurent1":
+    def __mul__(self, other: Union["_Sparse", int]):
         if isinstance(other, int):
             if other == 0:
-                return Laurent1.zero()
-            return Laurent1._raw({n: c * other for n, c in self._terms.items()})
-        terms: dict[int, int] = {}
-        for n1, c1 in self._terms.items():
-            for n2, c2 in other._terms.items():
-                n = n1 + n2
-                s = terms.get(n, 0) + c1 * c2
-                if s:
-                    terms[n] = s
-                else:
-                    terms.pop(n, None)
-        return Laurent1._raw(terms)
+                return self.zero()
+            return self._raw({e: c * other for e, c in self._terms.items()})
+        add = self._add_exp
+        return self._raw(_collect(
+            (add(e1, e2), c1 * c2)
+            for e1, c1 in self._terms.items()
+            for e2, c2 in other._terms.items()
+        ))
 
     __rmul__ = __mul__
+
+
+class Laurent1(_Sparse):
+    """Univariate integer Laurent polynomial, exponent -> coefficient."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _add_exp(n1: int, n2: int) -> int:
+        return n1 + n2
 
     def taylor_coeff(self, k: int) -> int:
         """The exact integer f^(k)(1)/k!, for k >= 0.
@@ -117,7 +126,7 @@ class Laurent1:
         return f"Laurent1({self._terms!r})"
 
 
-class Laurent2:
+class Laurent2(_Sparse):
     """Bivariate integer Laurent polynomial, (i, j) exponent pair -> coefficient.
 
     >>> (Laurent2.x() - Laurent2.one()) * (Laurent2.y() - Laurent2.one())
@@ -126,20 +135,7 @@ class Laurent2:
     Laurent2('x^-1*y')
     """
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Optional[Mapping[tuple[int, int], int]] = None):
-        self._terms = {ij: c for ij, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def _raw(cls, terms: dict[tuple[int, int], int]) -> "Laurent2":
-        p = cls.__new__(cls)
-        p._terms = terms
-        return p
-
-    @classmethod
-    def zero(cls) -> "Laurent2":
-        return cls._raw({})
+    __slots__ = ()
 
     @classmethod
     def one(cls) -> "Laurent2":
@@ -153,154 +149,46 @@ class Laurent2:
     def y(cls) -> "Laurent2":
         return cls._raw({(0, 1): 1})
 
-    @classmethod
-    def monomial(cls, i: int, j: int, c: int = 1) -> "Laurent2":
-        return cls({(i, j): c})
-
-    def items(self):
-        return self._terms.items()
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Laurent2) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "Laurent2") -> "Laurent2":
-        terms = dict(self._terms)
-        for ij, c in other._terms.items():
-            s = terms.get(ij, 0) + c
-            if s:
-                terms[ij] = s
-            else:
-                terms.pop(ij, None)
-        return Laurent2._raw(terms)
-
-    def __neg__(self) -> "Laurent2":
-        return Laurent2._raw({ij: -c for ij, c in self._terms.items()})
-
-    def __sub__(self, other: "Laurent2") -> "Laurent2":
-        return self + (-other)
-
-    def __mul__(self, other: Union["Laurent2", int]) -> "Laurent2":
-        if isinstance(other, int):
-            if other == 0:
-                return Laurent2.zero()
-            return Laurent2._raw({ij: c * other for ij, c in self._terms.items()})
-        terms: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                ij = (i1 + i2, j1 + j2)
-                s = terms.get(ij, 0) + c1 * c2
-                if s:
-                    terms[ij] = s
-                else:
-                    terms.pop(ij, None)
-        return Laurent2._raw(terms)
-
-    __rmul__ = __mul__
+    @staticmethod
+    def _add_exp(e1: tuple[int, int], e2: tuple[int, int]) -> tuple[int, int]:
+        return e1[0] + e2[0], e1[1] + e2[1]
 
     def monomial_mul(self, a: int, b: int) -> "Laurent2":
         """Multiply by x^a y^b: shift every exponent pair by (a, b)."""
         return Laurent2._raw({(i + a, j + b): c for (i, j), c in self._terms.items()})
 
+    def _collapse(self, keep: int) -> Laurent1:
+        terms = self._terms
+        return Laurent1._raw(_collect(zip(map(itemgetter(keep), terms), terms.values())))
+
     def substitute_x1(self) -> Laurent1:
         """Set x = 1: collapse x^i y^j to y^j."""
-        terms: dict[int, int] = {}
-        for (_, j), c in self._terms.items():
-            s = terms.get(j, 0) + c
-            if s:
-                terms[j] = s
-            else:
-                terms.pop(j, None)
-        return Laurent1._raw(terms)
+        return self._collapse(1)
 
     def substitute_y1(self) -> Laurent1:
         """Set y = 1: collapse x^i y^j to x^i."""
-        terms: dict[int, int] = {}
-        for (i, _), c in self._terms.items():
-            s = terms.get(i, 0) + c
-            if s:
-                terms[i] = s
-            else:
-                terms.pop(i, None)
-        return Laurent1._raw(terms)
+        return self._collapse(0)
 
     def eval11(self) -> int:
         """Value at x = y = 1: the sum of all coefficients."""
         return sum(self._terms.values())
 
-    def divide_exact(self, d: "Laurent2") -> Optional["Laurent2"]:
-        """The exact quotient q with q*d == self, or None if none exists.
+    def strip_units(self) -> tuple[int, int, int]:
+        """The maximal powers of (x-1) and (y-1) dividing self, and the
+        value of the cofactor at (1, 1).
 
-        Long division in x with coefficients in Z[y, y^-1], dividing the
-        coefficient polynomials exactly at each step.  Exponent bounds of
-        the quotient (which are forced, since leading and trailing terms
-        multiply) cut off non-terminating cases.
-        """
-        if not d:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self._terms:
-            return Laurent2.zero()
-
-        d_max_x = max(i for i, _ in d._terms)
-        d_min_x = min(i for i, _ in d._terms)
-        p_max_x = max(i for i, _ in self._terms)
-        p_min_x = min(i for i, _ in self._terms)
-        q_min_x = p_min_x - d_min_x
-        lead_d = Laurent1._raw({j: c for (i, j), c in d._terms.items() if i == d_max_x})
-
-        remainder = dict(self._terms)
-        quotient: dict[tuple[int, int], int] = {}
-        while remainder:
-            r_max_x = max(i for i, _ in remainder)
-            shift = r_max_x - d_max_x
-            if shift < q_min_x:
-                return None
-            lead_r = Laurent1._raw(
-                {j: c for (i, j), c in remainder.items() if i == r_max_x}
-            )
-            qc = _divide_exact_1(lead_r, lead_d)
-            if qc is None:
-                return None
-            for jq, cq in qc.items():
-                quotient[(shift, jq)] = cq
-                for (i, j), c in d._terms.items():
-                    ij = (i + shift, j + jq)
-                    s = remainder.get(ij, 0) - cq * c
-                    if s:
-                        remainder[ij] = s
-                    else:
-                        remainder.pop(ij, None)
-        return Laurent2._raw(quotient)
-
-    def strip_units(self) -> tuple[int, int, "Laurent2"]:
-        """Factor out maximal powers of (x-1) and (y-1).
-
-        Returns (k, l, h) with (x-1)^k (y-1)^l h == self and h divisible
-        by neither x-1 nor y-1.  Undefined on the zero polynomial.
+        Returns (k, l, h11) with self = (x-1)^k (y-1)^l h, h divisible by
+        neither x-1 nor y-1, and h11 = h(1, 1).  Expanding at (1, 1),
+        h(1, 1) is the coefficient of (x-1)^k (y-1)^l, the binomial moment
+        sum c_ij C(i, k) C(j, l); h itself is never built.  Undefined on
+        the zero polynomial.
         """
         if not self._terms:
             raise ValueError("strip_units is undefined on the zero polynomial")
-        k = 0
-        h = self
-        while True:
-            q = _synth_div_x1(h)
-            if q is None:
-                break
-            h = q
-            k += 1
-        l = 0
-        while True:
-            q = _synth_div_y1(h)
-            if q is None:
-                break
-            h = q
-            l += 1
-        return k, l, h
+        k, binom_x = _unit_order(self._terms, 0)
+        l, binom_y = _unit_order(self._terms, 1)
+        h11 = sum(c * binom_x[i] * binom_y[j] for (i, j), c in self._terms.items())
+        return k, l, h11
 
     def to_json(self) -> list[list[int]]:
         return [[i, j, self._terms[(i, j)]] for i, j in sorted(self._terms)]
@@ -312,79 +200,27 @@ class Laurent2:
         return f"Laurent2('{self}')"
 
 
-def _divide_exact_1(p: Laurent1, d: Laurent1) -> Optional[Laurent1]:
-    """Exact division in Z[t, t^-1]; None when p is not a multiple of d."""
-    if not d:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not p:
-        return Laurent1.zero()
-    d_terms = d._terms
-    d_max = max(d_terms)
-    d_min = min(d_terms)
-    p_min = min(p._terms)
-    q_min = p_min - d_min
-    lead_d = d_terms[d_max]
+def _unit_order(terms: dict[tuple[int, int], int], axis: int) -> tuple[int, dict[int, int]]:
+    """The multiplicity t of the unit factor (v-1), v the variable on axis,
+    and C(e, t) for every exponent e on that axis.
 
-    remainder = dict(p._terms)
-    quotient: dict[int, int] = {}
-    while remainder:
-        r_max = max(remainder)
-        shift = r_max - d_max
-        if shift < q_min:
-            return None
-        c, rem = divmod(remainder[r_max], lead_d)
-        if rem:
-            return None
-        quotient[shift] = c
-        for n, cd in d_terms.items():
-            m = n + shift
-            s = remainder.get(m, 0) - c * cd
-            if s:
-                remainder[m] = s
-            else:
-                remainder.pop(m, None)
-    return Laurent1._raw(quotient)
-
-
-def _synth_div_x1(p: Laurent2) -> Optional[Laurent2]:
-    """Quotient p / (x-1), or None if x-1 does not divide p.
-
-    Per fixed y-exponent, a slice sum_i c_i x^i is divisible by x-1 iff
-    its coefficients sum to zero, and then the quotient coefficients are
-    the negated prefix sums.
+    (v-1)^t divides the polynomial iff every slice along the axis (the
+    other exponent fixed) vanishes at v = 1 to order t, that is iff its
+    moments sum_e c_e C(e, s) vanish for all s < t.  C(e, s) steps to
+    C(e, s+1) = C(e, s) (e-s) / (s+1), an exact division.
     """
-    slices: dict[int, dict[int, int]] = {}
-    for (i, j), c in p._terms.items():
-        slices.setdefault(j, {})[i] = c
-    out: dict[tuple[int, int], int] = {}
-    for j, sl in slices.items():
-        if sum(sl.values()) != 0:
-            return None
-        lo, hi = min(sl), max(sl)
-        prefix = 0
-        for i in range(lo, hi):
-            prefix += sl.get(i, 0)
-            if prefix:
-                out[(i, j)] = -prefix
-    return Laurent2._raw(out)
-
-
-def _synth_div_y1(p: Laurent2) -> Optional[Laurent2]:
-    """Quotient p / (y-1), or None if y-1 does not divide p."""
-    slices: dict[int, dict[int, int]] = {}
-    for (i, j), c in p._terms.items():
-        slices.setdefault(i, {})[j] = c
-    out: dict[tuple[int, int], int] = {}
-    for i, sl in slices.items():
-        if sum(sl.values()) != 0:
-            return None
-        lo, hi = min(sl), max(sl)
-        prefix = 0
-        for j in range(lo, hi):
-            prefix += sl.get(j, 0)
-            if prefix:
-                out[(i, j)] = -prefix
-    return Laurent2._raw(out)
+    binom = dict.fromkeys({ij[axis] for ij in terms}, 1)
+    other = 1 - axis
+    t = 0
+    while True:
+        moments: dict[int, int] = {}
+        for ij, c in terms.items():
+            o = ij[other]
+            moments[o] = moments.get(o, 0) + c * binom[ij[axis]]
+        if any(moments.values()):
+            return t, binom
+        binom = {e: b * (e - t) // (t + 1) for e, b in binom.items()}
+        t += 1
 
 
 def _render(terms: Iterable[tuple[tuple[int, ...], int]], var_names: tuple[str, ...]) -> str:

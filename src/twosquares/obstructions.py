@@ -7,9 +7,10 @@ psi_k = g^(k)(1)/k! are the obstruction ladder: the first nonzero value
 on each side is invariant under conjugation and additive on products, and
 it must be even whenever w is a product of two squares — so an odd value
 is a proof that it is not.  On top of the ladder sits a factorization
-criterion: strip the maximal powers of (x-1) and (y-1) from P; the
-quotient's value at (1, 1) must again be even for a product of two
-squares.  All criteria are one-sided: they can refute, never confirm.
+criterion: write P = (x-1)^k (y-1)^l h with k, l maximal; h(1, 1), the
+Taylor coefficient of (x-1)^k (y-1)^l in P at (1, 1), must again be even
+for a product of two squares.  All criteria are one-sided: they can
+refute, never confirm.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .words import Word, abelianize
 
 DEFAULT_DEPTH = 8
 
-_SIDE_ORDER = {"phi": 0, "psi": 1}
+_VERDICT_KINDS = ("TwoSquares", "NotTwoSquares", "Unknown")
 
 
 class InapplicableCriterionError(ValueError):
@@ -91,13 +92,18 @@ class FactorReport:
 
 @dataclass(frozen=True)
 class Verdict:
-    kind: str  # "TwoSquares" | "NotTwoSquares" | "Unknown"
+    kind: str  # one of _VERDICT_KINDS
     reason: Optional[str] = None
     witness: Optional[Witness] = None
 
+    def __post_init__(self):
+        if self.kind not in _VERDICT_KINDS:
+            raise ValueError(f"unknown verdict kind {self.kind!r}")
+        if self.kind == "TwoSquares" and self.witness is None:
+            raise ValueError("a TwoSquares verdict needs a witness")
+
     def to_json(self) -> dict:
         if self.kind == "TwoSquares":
-            assert self.witness is not None
             return {
                 "kind": self.kind,
                 "witness": {"a": str(self.witness.a), "b": str(self.witness.b)},
@@ -147,64 +153,59 @@ def _require_loop(w: Word):
         raise NotALoopError(w, sums)
 
 
-def _collapse(w: Word) -> tuple[ChainPair, Laurent1, Laurent1]:
-    chain = lift_chain(w)
-    return chain, chain.P.substitute_x1(), chain.Q.substitute_y1()
+class _LadderPass(NamedTuple):
+    f: Laurent1
+    g: Laurent1
+    entries: list[LadderEntry]
+    first: Optional[FirstObstruction]
+    parity: Optional[FirstObstruction]
+
+
+def _ladder_pass(chain: ChainPair, depth: int) -> _LadderPass:
+    """Collapse the chain, climb the ladder to depth, and pick the first
+    nonzero value and the first odd one among the sides' first values.
+
+    Each side's first value is found at the smallest k, phi before psi,
+    so the order of discovery is the order of preference.
+    """
+    f = chain.P.substitute_x1()
+    g = chain.Q.substitute_y1()
+    entries = []
+    firsts: dict[str, FirstObstruction] = {}
+    for k in range(1, depth + 1):
+        pk = f.taylor_coeff(k)
+        sk = g.taylor_coeff(k)
+        entries.append(LadderEntry(k, pk, sk, "phi" not in firsts, "psi" not in firsts))
+        if pk and "phi" not in firsts:
+            firsts["phi"] = FirstObstruction(k, pk, "phi")
+        if sk and "psi" not in firsts:
+            firsts["psi"] = FirstObstruction(k, sk, "psi")
+    first = next(iter(firsts.values()), None)
+    parity = next((o for o in firsts.values() if o.value % 2), None)
+    return _LadderPass(f, g, entries, first, parity)
+
+
+def _loop_pass(w: Word, depth: int) -> _LadderPass:
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    _require_loop(w)
+    return _ladder_pass(lift_chain(w), depth)
 
 
 def phi(w: Word) -> int:
     """f'(1) for f(y) = P(1, y): additive, conjugacy-invariant, and even
     on any product of two squares.  Requires zero exponent sums."""
-    _require_loop(w)
-    _, f, _ = _collapse(w)
-    return f.taylor_coeff(1)
+    return _loop_pass(w, 1).entries[0].phi
 
 
 def psi(w: Word) -> int:
     """g'(1) for g(x) = Q(x, 1); equal to -phi on every loop word."""
-    _require_loop(w)
-    _, _, g = _collapse(w)
-    return g.taylor_coeff(1)
-
-
-def _ladder_entries(f: Laurent1, g: Laurent1, depth: int) -> list[LadderEntry]:
-    entries = []
-    phi_clear = True
-    psi_clear = True
-    for k in range(1, depth + 1):
-        pk = f.taylor_coeff(k)
-        sk = g.taylor_coeff(k)
-        entries.append(LadderEntry(k, pk, sk, phi_clear, psi_clear))
-        phi_clear = phi_clear and pk == 0
-        psi_clear = psi_clear and sk == 0
-    return entries
+    return _loop_pass(w, 1).entries[0].psi
 
 
 def ladder(w: Word, depth: int = DEFAULT_DEPTH) -> list[LadderEntry]:
     """Ladder values phi_k, psi_k for k = 1..depth, with definedness flags."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    _require_loop(w)
-    _, f, g = _collapse(w)
-    return _ladder_entries(f, g, depth)
-
-
-def _side_firsts(
-    entries: list[LadderEntry],
-) -> tuple[Optional[FirstObstruction], Optional[FirstObstruction]]:
-    phi_first = psi_first = None
-    for e in entries:
-        if phi_first is None and e.phi != 0:
-            phi_first = FirstObstruction(e.k, e.phi, "phi")
-        if psi_first is None and e.psi != 0:
-            psi_first = FirstObstruction(e.k, e.psi, "psi")
-    return phi_first, psi_first
-
-
-def _best(candidates: list[FirstObstruction]) -> Optional[FirstObstruction]:
-    if not candidates:
-        return None
-    return min(candidates, key=lambda o: (o.k, _SIDE_ORDER[o.side]))
+    return _loop_pass(w, depth).entries
 
 
 def first_obstruction(w: Word, depth: int = DEFAULT_DEPTH) -> Optional[FirstObstruction]:
@@ -214,9 +215,7 @@ def first_obstruction(w: Word, depth: int = DEFAULT_DEPTH) -> Optional[FirstObst
     None means no nonzero value up to the given depth (inconclusive
     unless f and g are identically zero).
     """
-    entries = ladder(w, depth)
-    phi_first, psi_first = _side_firsts(entries)
-    return _best([o for o in (phi_first, psi_first) if o is not None])
+    return _loop_pass(w, depth).first
 
 
 def parity_obstruction(w: Word, depth: int = DEFAULT_DEPTH) -> Optional[FirstObstruction]:
@@ -224,10 +223,7 @@ def parity_obstruction(w: Word, depth: int = DEFAULT_DEPTH) -> Optional[FirstObs
 
     An odd value on either side proves w is not a product of two squares.
     """
-    entries = ladder(w, depth)
-    phi_first, psi_first = _side_firsts(entries)
-    odd = [o for o in (phi_first, psi_first) if o is not None and o.value % 2 != 0]
-    return _best(odd)
+    return _loop_pass(w, depth).parity
 
 
 def factor_criterion(w: Word, side: str = "P") -> FactorReport:
@@ -250,8 +246,7 @@ def _factor_from_chain(chain: ChainPair, side: str) -> FactorReport:
         raise InapplicableCriterionError(
             f"factor criterion inapplicable: {side} is the zero polynomial"
         )
-    k, l, h = poly.strip_units()
-    return FactorReport(k=k, l=l, h11=h.eval11(), side=side)
+    return FactorReport(*poly.strip_units(), side=side)
 
 
 def analyze(
@@ -275,70 +270,37 @@ def analyze(
         bound = len(w)
     expsums = abelianize(w)
     chain = lift_chain(w)
+    f = g = first = shown_factor = None
+    entries: list[LadderEntry] = []
+    factor_reports: list[FactorReport] = []
+    verdict: Optional[Verdict] = None
 
     if expsums != (0, 0):
-        outcome = search_with_stats(w, bound)
-        if outcome.witness is not None:
-            verdict = Verdict("TwoSquares", witness=outcome.witness)
-        else:
+        inconclusive = f"exponent sums {expsums} != (0, 0): obstruction tests do not apply"
+    else:
+        inconclusive = f"no odd obstruction up to depth {depth}"
+        f, g, entries, first, parity = _ladder_pass(chain, depth)
+        sides = ("P", "Q") if side == "both" else (side,)
+        for s in sides:
+            try:
+                factor_reports.append(_factor_from_chain(chain, s))
+            except InapplicableCriterionError:
+                pass
+        odd_factor = next((fr for fr in factor_reports if fr.obstructs), None)
+        shown_factor = odd_factor or next(iter(factor_reports), None)
+        if parity is not None:
+            verdict = Verdict("NotTwoSquares", reason=f"{parity.describe()} is odd")
+        elif odd_factor is not None:
             verdict = Verdict(
-                "Unknown",
+                "NotTwoSquares",
                 reason=(
-                    f"exponent sums {expsums} != (0, 0): obstruction tests do "
-                    f"not apply; no witness with |a| <= {bound} "
-                    f"({outcome.checked} candidates checked)"
+                    f"factor criterion on {odd_factor.side}: "
+                    f"h(1,1) = {odd_factor.h11} is odd"
                 ),
             )
-        return ObstructionReport(
-            word=w,
-            expsums=expsums,
-            chain=chain,
-            f=None,
-            g=None,
-            ladder=[],
-            first_obstruction=None,
-            factor=None,
-            verdict=verdict,
-            depth=depth,
-            bound=bound,
-            search=outcome,
-        )
-
-    f = chain.P.substitute_x1()
-    g = chain.Q.substitute_y1()
-    entries = _ladder_entries(f, g, depth)
-    phi_first, psi_first = _side_firsts(entries)
-    first = _best([o for o in (phi_first, psi_first) if o is not None])
-    parity = _best(
-        [o for o in (phi_first, psi_first) if o is not None and o.value % 2 != 0]
-    )
-
-    sides = ("P", "Q") if side == "both" else (side,)
-    factor_reports: list[FactorReport] = []
-    for s in sides:
-        try:
-            factor_reports.append(_factor_from_chain(chain, s))
-        except InapplicableCriterionError:
-            pass
-    odd_factor = next((fr for fr in factor_reports if fr.obstructs), None)
-    shown_factor = odd_factor if odd_factor is not None else (
-        factor_reports[0] if factor_reports else None
-    )
 
     search: Optional[SearchOutcome] = None
-    if parity is not None:
-        verdict = Verdict(
-            "NotTwoSquares", reason=f"{parity.describe()} is odd"
-        )
-    elif odd_factor is not None:
-        verdict = Verdict(
-            "NotTwoSquares",
-            reason=(
-                f"factor criterion on {odd_factor.side}: "
-                f"h(1,1) = {odd_factor.h11} is odd"
-            ),
-        )
-    else:
+    if verdict is None:
         search = search_with_stats(w, bound)
         if search.witness is not None:
             verdict = Verdict("TwoSquares", witness=search.witness)
@@ -346,8 +308,8 @@ def analyze(
             verdict = Verdict(
                 "Unknown",
                 reason=(
-                    f"no odd obstruction up to depth {depth}; no witness with "
-                    f"|a| <= {bound} ({search.checked} candidates checked)"
+                    f"{inconclusive}; no witness with |a| <= {bound} "
+                    f"({search.checked} candidates checked)"
                 ),
             )
 

@@ -166,15 +166,6 @@ class Word:
 _IDENTITY = Word._from_reduced(b"")
 
 
-def multiply(u: Word, v: Word) -> Word:
-    """Freely reduced group product."""
-    return u * v
-
-
-def invert(u: Word) -> Word:
-    return ~u
-
-
 def commutator(g: Word, h: Word) -> Word:
     """g h g^-1 h^-1."""
     return g * h * ~g * ~h
@@ -183,10 +174,6 @@ def commutator(g: Word, h: Word) -> Word:
 def conjugate(g: Word, h: Word) -> Word:
     """h g h^-1."""
     return h * g * ~h
-
-
-def power(g: Word, n: int) -> Word:
-    return g**n
 
 
 def abelianize(g: Word) -> tuple[int, int]:

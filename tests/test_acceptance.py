@@ -7,10 +7,12 @@ integers or exact word equalities; nothing is approximate.
 
 import json
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 from twosquares.cli import main as cli_main
 from twosquares import (
+    FactorReport,
     InapplicableCriterionError,
     Word,
     abelianize,
@@ -21,7 +23,6 @@ from twosquares import (
     factor_criterion,
     first_obstruction,
     in_commutator_subgroup,
-    invert,
     ladder,
     lift_chain,
     parity_obstruction,
@@ -30,7 +31,6 @@ from twosquares import (
     psi,
     search_two_squares,
     square_root,
-    translate_chain,
 )
 from twosquares.laurent import Laurent1
 
@@ -117,7 +117,7 @@ def test_criterion_5_ladder_realizing_words():
     with criterion(5, "w_k realizes phi_k = -1 with psi identically 0", 0.100):
         w = parse("[x,y]")
         for k in range(2, 6):
-            w = conjugate(w, Y) * invert(w)  # w_(k+1) from w_k
+            w = conjugate(w, Y) * ~w  # w_(k+1) from w_k
             entries = ladder(w, 8)
             for e in entries:
                 if e.k < k:
@@ -130,8 +130,8 @@ def test_criterion_5_ladder_realizing_words():
 
 def test_criterion_6_all_vanishing_word():
     with criterion(6, "f = g = 0 yet factor criterion obstructs", 0.010):
-        w2 = conjugate(parse("[x,y]"), Y) * invert(parse("[x,y]"))
-        w = conjugate(w2, X) * invert(w2)
+        w2 = conjugate(parse("[x,y]"), Y) * ~parse("[x,y]")
+        w = conjugate(w2, X) * ~w2
         chain = lift_chain(w)
         assert chain.P.substitute_x1() == Laurent1.zero()
         assert chain.Q.substitute_y1() == Laurent1.zero()
@@ -163,14 +163,14 @@ def test_criterion_7_property_suite(rng):
             g = random_loop(rng, 12)
             h = random_reduced(rng, rng.randrange(13))
             a, b = abelianize(h)
-            assert lift_chain(conjugate(g, h)) == translate_chain(lift_chain(g), a, b)
+            assert lift_chain(conjugate(g, h)) == lift_chain(g).translate(a, b)
 
         # parity soundness on explicit products of two squares
         for _ in range(cases):
             c = random_loop(rng, 8)
             h = random_reduced(rng, rng.randrange(5))
-            g = c * conjugate(c, invert(h))
-            assert g == (c * invert(h)) ** 2 * h**2
+            g = c * conjugate(c, ~h)
+            assert g == (c * ~h) ** 2 * h**2
             assert phi(g) % 2 == 0
             obs = first_obstruction(g, 8)
             assert obs is None or obs.value % 2 == 0
@@ -227,3 +227,17 @@ def test_criterion_10_linear_parse():
     parse("xy" * 1000)  # warm-up outside the timed window
     with criterion(10, "parse 160k letters in one linear pass", 0.5):
         assert parse(text) == expected
+
+
+def test_criterion_11_factor_criterion_without_quotient():
+    w = parse("[x^1000,y^1000]")
+    expected = FactorReport(0, 1, -1_000_000, "P")
+    tracemalloc.start()  # also the warm-up, outside the timed window
+    try:
+        assert factor_criterion(w) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB >= 5 MB"
+    with criterion(11, "factor criterion on [x^1000,y^1000]: h(1,1) = -10^6", 0.1):
+        assert factor_criterion(w) == expected

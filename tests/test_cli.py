@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from twosquares.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main
+from twosquares.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, CliConfig, main, run
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +134,10 @@ class TestErrors:
     def test_missing_word(self, capsys):
         code, _, _ = run_cli(capsys, "check")
         assert code == EXIT_USAGE
+
+    def test_dispatch_rejects_unknown_command(self):
+        with pytest.raises(ValueError, match="unknown command 'frobnicate'"):
+            run(CliConfig(command="frobnicate", word_expr="[x,y]"))
 
 
 class TestDeterminism:

@@ -11,11 +11,9 @@ from twosquares import (
     commutator,
     conjugate,
     homology_image,
-    invert,
     lift_chain,
     lift_trace,
     parse,
-    translate_chain,
 )
 
 from conftest import random_loop, random_reduced
@@ -95,12 +93,12 @@ class TestChainLaws:
             g = random_loop(rng)
             h = random_reduced(rng, rng.randrange(13))
             a, b = abelianize(h)
-            assert lift_chain(conjugate(g, h)) == translate_chain(lift_chain(g), a, b)
+            assert lift_chain(conjugate(g, h)) == lift_chain(g).translate(a, b)
 
     def test_module_action_y(self, rng):
         for _ in range(200):
             g = random_loop(rng)
-            twisted = conjugate(g, Word("y")) * invert(g)
+            twisted = conjugate(g, Word("y")) * ~g
             c = lift_chain(g)
             expected = ChainPair((Y - ONE) * c.P, (Y - ONE) * c.Q)
             assert lift_chain(twisted) == expected
@@ -108,7 +106,7 @@ class TestChainLaws:
     def test_module_action_x(self, rng):
         for _ in range(200):
             g = random_loop(rng)
-            twisted = conjugate(g, Word("x")) * invert(g)
+            twisted = conjugate(g, Word("x")) * ~g
             c = lift_chain(g)
             expected = ChainPair((X - ONE) * c.P, (X - ONE) * c.Q)
             assert lift_chain(twisted) == expected
@@ -122,22 +120,22 @@ class TestChainLaws:
     def test_inverse_of_loop_negates(self, rng):
         for _ in range(200):
             g = random_loop(rng)
-            assert lift_chain(invert(g)) == -lift_chain(g)
+            assert lift_chain(~g) == -lift_chain(g)
 
 
 class TestTranslate:
     def test_translate_example(self):
-        c = translate_chain(lift_chain(parse("[x,y]")), 1, 0)
+        c = lift_chain(parse("[x,y]")).translate(1, 0)
         assert c.P == X - X * Y
         assert c.Q == X * X - X
 
     def test_identity_translation(self, rng):
         for _ in range(50):
             c = lift_chain(random_reduced(rng, rng.randrange(13)))
-            assert translate_chain(c, 0, 0) == c
+            assert c.translate(0, 0) == c
 
     def test_zero_chain(self):
-        c = translate_chain(lift_chain(Word()), 5, -3)
+        c = lift_chain(Word()).translate(5, -3)
         assert not c.P and not c.Q
 
 
@@ -154,7 +152,7 @@ class TestHomologyImage:
 
     def test_twisted_commutator(self):
         # (y [x,y] y^-1) [x,y]^-1: chain = (y-1) * chain([x,y]), by hand
-        w = conjugate(parse("[x,y]"), Word("y")) * invert(parse("[x,y]"))
+        w = conjugate(parse("[x,y]"), Word("y")) * ~parse("[x,y]")
         c = homology_image(w)
         assert c.P == -(Y - ONE) * (Y - ONE)
         assert c.Q == (Y - ONE) * (X - ONE)

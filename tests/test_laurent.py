@@ -1,4 +1,4 @@
-"""Laurent arithmetic: ring laws, exact division, Taylor coefficients at 1."""
+"""Laurent arithmetic: ring laws, collapse, unit stripping, Taylor coefficients at 1."""
 
 import doctest
 from math import factorial
@@ -6,9 +6,16 @@ from math import factorial
 import pytest
 
 import twosquares.laurent
-from twosquares import Laurent1, Laurent2
+from twosquares import (
+    Laurent1,
+    Laurent2,
+    enumerate_reduced,
+    in_commutator_subgroup,
+    lift_chain,
+)
 
 from conftest import random_laurent1, random_laurent2
+from reference_laurent import reference_strip_units, synth_div
 
 
 def L2(terms):
@@ -122,52 +129,17 @@ class TestTaylor:
             Laurent1({1: 1}).taylor_coeff(-1)
 
 
-class TestDivision:
-    def test_exact_quotients(self):
-        assert ((X - ONE) * (Y - ONE)).divide_exact(X - ONE) == Y - ONE
-        assert (ONE - Y * Y).divide_exact(ONE + Y) == ONE - Y
-
-    def test_not_divisible(self):
-        assert (ONE - Y).divide_exact(X - ONE) is None
-        assert L2({(0, 0): 3}).divide_exact(L2({(0, 0): 2})) is None
-
-    def test_zero_dividend_and_divisor(self):
-        assert Laurent2.zero().divide_exact(X - ONE) == Laurent2.zero()
-        with pytest.raises(ZeroDivisionError):
-            ONE.divide_exact(Laurent2.zero())
-
-    def test_roundtrip_random(self, rng):
-        done = 0
-        while done < 300:
-            p = random_laurent2(rng)
-            d = random_laurent2(rng)
-            if not d:
-                continue
-            assert (p * d).divide_exact(d) == p
-            done += 1
-
-    def test_mixed_unit_divisor(self):
-        # divisors of the shape 1 + x^m y^n arise from conjugate decompositions
-        e = ONE + L2({(2, 3): 1})
-        p = (X - ONE) * e
-        assert p.divide_exact(e) == X - ONE
-        assert p.divide_exact(ONE + L2({(3, 2): 1})) is None
-
-
 class TestStripUnits:
     def test_single_unit(self):
-        k, l, h = (ONE - Y).strip_units()
-        assert (k, l, h) == (0, 1, L2({(0, 0): -1}))
+        assert (ONE - Y).strip_units() == (0, 1, -1)
 
     def test_with_cofactor(self):
-        k, l, h = ((ONE + X) * (ONE - Y)).strip_units()
-        assert (k, l) == (0, 1)
-        assert h == -(ONE + X)
+        # (1+x)(1-y) = (y-1) * -(1+x), and -(1+x) is -2 at (1, 1)
+        assert ((ONE + X) * (ONE - Y)).strip_units() == (0, 1, -2)
 
     def test_both_units(self):
         p = -(X - ONE) * (Y - ONE) * (Y - ONE)
-        k, l, h = p.strip_units()
-        assert (k, l, h) == (1, 2, L2({(0, 0): -1}))
+        assert p.strip_units() == (1, 2, -1)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -186,7 +158,7 @@ class TestStripUnits:
                 p = p * (X - ONE)
             for _ in range(l0):
                 p = p * (Y - ONE)
-            k, l, h = p.strip_units()
+            k, l, h = reference_strip_units(p)
             assert k >= k0 and l >= l0
             rebuilt = h
             for _ in range(k):
@@ -194,9 +166,19 @@ class TestStripUnits:
             for _ in range(l):
                 rebuilt = rebuilt * (Y - ONE)
             assert rebuilt == p
-            assert h.divide_exact(X - ONE) is None
-            assert h.divide_exact(Y - ONE) is None
+            assert synth_div(h, 0) is None and synth_div(h, 1) is None
+            assert p.strip_units() == (k, l, h.eval11())
             done += 1
+
+    def test_matches_reference_on_loop_chains(self):
+        for g in enumerate_reduced(8):
+            if not g or not in_commutator_subgroup(g):
+                continue
+            chain = lift_chain(g)
+            for poly in (chain.P, chain.Q):
+                if poly:
+                    k, l, h = reference_strip_units(poly)
+                    assert poly.strip_units() == (k, l, h.eval11())
 
 
 class TestDisplayAndJson:

@@ -6,6 +6,7 @@ from twosquares import (
     InapplicableCriterionError,
     Laurent1,
     NotALoopError,
+    Verdict,
     Word,
     abelianize,
     analyze,
@@ -13,14 +14,12 @@ from twosquares import (
     factor_criterion,
     first_obstruction,
     in_commutator_subgroup,
-    invert,
     ladder,
     lift_chain,
     parity_obstruction,
     parse,
     phi,
     psi,
-    translate_chain,
 )
 
 from conftest import random_loop, random_reduced
@@ -28,7 +27,7 @@ from conftest import random_loop, random_reduced
 
 def twist(g: Word, t: Word) -> Word:
     """(t g t^-1) g^-1: multiplies the chain of a loop by (t_ab - 1)."""
-    return conjugate(g, t) * invert(g)
+    return conjugate(g, t) * ~g
 
 
 def ladder_word(k: int) -> Word:
@@ -216,6 +215,27 @@ class TestAnalyze:
         assert j["verdict"] == {"kind": "NotTwoSquares", "reason": "phi_1 = -1 is odd"}
         assert j["first_obstruction"] == {"k": 1, "value": -1, "side": "phi"}
 
+    def test_agrees_with_standalone_views(self, rng):
+        for _ in range(300):
+            g = random_loop(rng, 12)
+            report = analyze(g, bound=0)
+            assert report.ladder == ladder(g)
+            assert report.first_obstruction == first_obstruction(g)
+            parity = parity_obstruction(g)
+            if parity is not None:
+                assert report.verdict.reason == f"{parity.describe()} is odd"
+            assert (report.ladder[0].phi, report.ladder[0].psi) == (phi(g), psi(g))
+
+
+class TestVerdict:
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown verdict kind"):
+            Verdict("Maybe", reason="?")
+
+    def test_two_squares_needs_witness(self):
+        with pytest.raises(ValueError, match="needs a witness"):
+            Verdict("TwoSquares", reason="trust me")
+
 
 class TestHomomorphismProperties:
     def test_phi_additive(self, rng):
@@ -273,7 +293,7 @@ class TestLiftIndependence:
             c = lift_chain(g)
             a, b = rng.randrange(-5, 6), rng.randrange(-5, 6)
             f0 = c.P.substitute_x1()
-            f1 = translate_chain(c, a, b).P.substitute_x1()
+            f1 = c.translate(a, b).P.substitute_x1()
             assert first_nonzero_taylor(f0) == first_nonzero_taylor(f1)
 
 
@@ -282,8 +302,8 @@ class TestParitySoundness:
         for _ in range(500):
             c = random_loop(rng, 8)
             h = random_reduced(rng, rng.randrange(5))
-            g = c * conjugate(c, invert(h))  # equals (c h^-1)^2 h^2
-            assert g == (c * invert(h)) ** 2 * h**2
+            g = c * conjugate(c, ~h)  # equals (c h^-1)^2 h^2
+            assert g == (c * ~h) ** 2 * h**2
             assert phi(g) % 2 == 0
             obs = first_obstruction(g, 8)
             if obs is not None:
@@ -298,7 +318,7 @@ class TestParitySoundness:
         for _ in range(500):
             c = random_loop(rng, 8)
             h = random_reduced(rng, rng.randrange(5))
-            g = c * conjugate(c, invert(h))
+            g = c * conjugate(c, ~h)
             assert phi(g) == 2 * phi(c)
 
     def test_half_membership(self, rng):
@@ -306,7 +326,7 @@ class TestParitySoundness:
         for _ in range(500):
             c = random_reduced(rng, rng.randrange(1, 9))
             h = random_reduced(rng, rng.randrange(5))
-            g = c * conjugate(c, invert(h))
+            g = c * conjugate(c, ~h)
             assert in_commutator_subgroup(g) == in_commutator_subgroup(c)
             if in_commutator_subgroup(g):
                 assert abelianize(c) == (0, 0)
