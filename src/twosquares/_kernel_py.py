@@ -32,8 +32,11 @@ def mul(u, v):
     return u[: i + 1] + v[j:]
 
 
+_INV = bytes.maketrans(b"\x00\x01\x02\x03", b"\x01\x00\x03\x02")
+
+
 def inv(u):
-    return bytes(c ^ 1 for c in reversed(u))
+    return u.translate(_INV)[::-1]
 
 
 def square_root(w):

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .cover import NotALoopError, lift_chain, lift_trace
 from .obstructions import DEFAULT_DEPTH, ObstructionReport, analyze, ladder
@@ -42,6 +43,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@cache  # built on first use, then shared: parse_args keeps no state
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="twosquares",

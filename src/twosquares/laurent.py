@@ -11,20 +11,9 @@ of (x-1)^a of sum_n c_n x^n is the integer sum_n c_n C(n, a).
 from __future__ import annotations
 
 from itertools import chain
-from math import factorial
+from math import comb
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Union
-
-
-def _binom_falling(n: int, k: int) -> int:
-    """n(n-1)...(n-k+1)/k! as an exact integer; valid for any integer n."""
-    num = 1
-    for t in range(k):
-        num *= n - t
-    q, r = divmod(num, factorial(k))
-    if r:
-        raise ArithmeticError(f"{k}! does not divide the falling factorial of {n}")
-    return q
 
 
 def _collect(pairs: Iterable[tuple]) -> dict:
@@ -105,13 +94,19 @@ class Laurent1(_Sparse):
     def taylor_coeff(self, k: int) -> int:
         """The exact integer f^(k)(1)/k!, for k >= 0.
 
-        Term by term: the k-th derivative of c*t^n contributes
-        c * n(n-1)...(n-k+1) at t=1, and that falling factorial is
-        divisible by k!; negative n included.
+        Term by term: c*t^n contributes c*C(n, k), the generalised
+        binomial n(n-1)...(n-k+1)/k!.  For n < 0 the reflection
+        C(n, k) = (-1)^k C(k-n-1, k) leaves one math.comb call per term.
         """
         if k < 0:
             raise ValueError("k must be >= 0")
-        return sum(c * _binom_falling(n, k) for n, c in self._terms.items())
+        pos = neg = 0
+        for n, c in self._terms.items():
+            if n >= 0:
+                pos += c * comb(n, k)
+            else:
+                neg += c * comb(k - n - 1, k)
+        return pos - neg if k & 1 else pos + neg
 
     def to_json(self) -> list[list[int]]:
         return [[n, self._terms[n]] for n in sorted(self._terms)]

@@ -19,6 +19,10 @@ _CODE_OF = {"x": 0, "X": 1, "y": 2, "Y": 3}
 # Exponents in word expressions are capped at machine-integer range;
 # anything larger is a parse error, never a silent wrap.
 MAX_EXPONENT = 2**63 - 1
+# Parsed words are capped by length: a letter run or a group power
+# longer than this is refused before it is built, and no group's value
+# may grow past it.
+MAX_LETTERS = 2**20
 
 
 class ParseError(ValueError):
@@ -245,7 +249,13 @@ def parse(expr: str) -> Word:
                 code ^= 1
                 n = -n
             if buf and buf[-1] == code ^ 1:
+                if n > MAX_LETTERS:
+                    raise ParseError(_TOO_LONG, m.start(1))
                 _merge(buf, _LETTER[code] * n)
+                if len(buf) > MAX_LETTERS:
+                    raise ParseError(_TOO_LONG, m.start(1))
+            elif len(buf) + n > MAX_LETTERS:
+                raise ParseError(_TOO_LONG, m.start(1))
             else:
                 buf += _LETTER[code] * n
             continue
@@ -264,11 +274,15 @@ def parse(expr: str) -> Word:
         else:
             group = commutator(left, Word._from_reduced(bytes(buf))).codes
         n = 1 if sign is None else _exponent(sign, digits, m.start(2))
+        if len(group) * abs(n) > MAX_LETTERS and _power_length(group, abs(n)) > MAX_LETTERS:
+            raise ParseError(_TOO_LONG, m.start(1))
         if n != 1:
             group = (Word._from_reduced(bytes(group)) ** n).codes
         if outer or group is not buf:
             _merge(outer, group)
             buf = outer
+            if len(buf) > MAX_LETTERS:
+                raise ParseError(_TOO_LONG, m.start(1))
     if stack:
         opener, pos, _, left = stack[-1]
         if opener == "(":
@@ -288,6 +302,7 @@ def parse(expr: str) -> Word:
 _TOKEN = re.compile(r"\s*(?:([xXyYe)\]])(?:\s*\^\s*(-?)(\d*))?|(\S))")
 
 _LETTER = tuple(bytes((c,)) for c in range(4))
+_TOO_LONG = f"word longer than {MAX_LETTERS} letters"
 
 
 def _exponent(sign: str, digits: str, start: int) -> int:
@@ -302,6 +317,26 @@ def _exponent(sign: str, digits: str, start: int) -> int:
             if value > MAX_EXPONENT:
                 raise ParseError("exponent overflow", start)
     return -value if sign else value
+
+
+def _power_length(codes: bytes, n: int) -> int:
+    """Length of w^n, n >= 1, for the reduced word w with these codes.
+
+    Peeling the p inverse letter pairs off the two ends of w leaves a
+    cyclically reduced core c with w = u c u^-1, so |w^n| = 2p + n|c|.
+    p is the longest common prefix of w and w^-1, found by bisection on
+    slice comparisons rather than letter by letter.
+    """
+    codes = bytes(codes)
+    rev = kernel.inv(codes)
+    lo, hi = 0, len(codes) // 2
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if codes[:mid] == rev[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return 2 * lo + n * (len(codes) - 2 * lo)
 
 
 def _merge(buf: bytearray, codes: bytes) -> None:

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import test_golden
+from twosquares import cli
 from twosquares.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, CliConfig, main, run
 
 
@@ -123,6 +125,13 @@ class TestErrors:
         assert code == EXIT_USAGE
         assert "parse error: expected an integer after '^' (position 2)" in err
 
+    def test_word_over_length_cap(self, capsys):
+        # passes the exponent cap, so only the length cap stands between
+        # this input and a 2^62-letter allocation
+        code, _, err = run_cli(capsys, "check", "x^4611686018427387904")
+        assert code == EXIT_USAGE
+        assert "parse error: word longer than 1048576 letters (position 0)" in err
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, "check", "--frob", "[x,y]")
         assert code == EXIT_USAGE
@@ -151,3 +160,23 @@ class TestDeterminism:
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
+
+
+class TestParserReuse:
+    """main() builds its argument parser once per process and reuses it."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_options_do_not_leak_between_calls(self, capsys):
+        expected = next(
+            case for case in test_golden.GOLDEN["full"] if case["argv"] == ["check", "[x,y]"]
+        )
+        run_cli(capsys, "check", "--side", "both", "--depth", "2", "--bound", "1",
+                "--format", "json", "[x,y]")
+        code, out, _ = run_cli(capsys, "check", "[x,y]")
+        assert (code, out) == (expected["exit"], expected["stdout"])
+
+    def test_golden_corpus_in_reverse_order(self):
+        for case in reversed(test_golden.GOLDEN["full"]):
+            assert test_golden.run(case["argv"]) == (case["exit"], case["stdout"]), case["argv"]

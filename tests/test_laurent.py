@@ -124,6 +124,19 @@ class TestTaylor:
             k = rng.randrange(7)
             assert f.taylor_coeff(k) == taylor_by_derivatives(f, k)
 
+    def test_against_derivative_oracle_wide_exponents(self, rng):
+        # |n| near 300 pushes C(n, k) past 64 bits at k = 11, 12; negative
+        # n at odd k exercises the sign of the reflection C(n, k) = -C(k-n-1, k)
+        for n in (-300, -257, -200, 200, 257, 300):
+            f = Laurent1({n: 1})
+            for k in range(13):
+                assert f.taylor_coeff(k) == taylor_by_derivatives(f, k)
+        assert Laurent1({-300: 1}).taylor_coeff(12) > 2**64
+        for _ in range(100):
+            f = random_laurent1(rng, span=300, cmax=10**6)
+            k = rng.randrange(13)
+            assert f.taylor_coeff(k) == taylor_by_derivatives(f, k)
+
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
             Laurent1({1: 1}).taylor_coeff(-1)

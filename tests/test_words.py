@@ -2,6 +2,7 @@
 
 import doctest
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from twosquares import (
     three_squares,
 )
 from twosquares.oracle import enumerate_reduced
+from twosquares.words import MAX_LETTERS
 
 from conftest import random_reduced
 from reference_parser import reference_parse
@@ -113,6 +115,65 @@ class TestParse:
             assert parse(str(w)) == w
 
 
+class TestLengthCap:
+    """Words longer than MAX_LETTERS are refused before they are built.
+
+    The inputs sit just above the cap, so a parser without the guard
+    would allocate about a megabyte, not gigabytes.
+    """
+
+    @pytest.mark.parametrize("expr, position", [
+        ("x^1048577", 0),
+        ("(xy)^524289", 3),
+        ("[x^1048577,y]", 1),
+        ("x^4611686018427387904", 0),
+    ])
+    def test_refused_before_allocation(self, expr, position):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as info:
+                parse(expr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"word longer than 1048576 letters (position {position})"
+        assert peak < 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
+
+    def test_cap_itself_parses(self):
+        assert MAX_LETTERS == 2**20
+        assert len(parse("x^1048576")) == MAX_LETTERS
+        assert len(parse("X^-1048576")) == MAX_LETTERS
+
+    def test_group_power_counts_peeled_pairs(self):
+        # xyX = x y x^-1, so (xyX)^n = x y^n x^-1 has n + 2 letters
+        assert len(parse("(xyX)^1048574")) == MAX_LETTERS
+        with pytest.raises(ParseError, match="word longer"):
+            parse("(xyX)^1048575")
+        # and a power that cancels back under the cap is fine
+        assert parse("(x^1048576)^-1x^1048576") == Word()
+
+    def test_merged_group_over_cap(self):
+        with pytest.raises(ParseError) as info:
+            parse("x^1048576 x")
+        assert info.value.position == 10
+        with pytest.raises(ParseError) as info:
+            parse("x^1048576(y)")
+        assert info.value.position == 11
+        # a run that cancels one letter and still grows the value
+        with pytest.raises(ParseError) as info:
+            parse("y^1048575Xx^3")
+        assert info.value.position == 10
+
+    def test_power_length_matches_power(self, rng):
+        for _ in range(500):
+            w = random_reduced(rng, rng.randrange(1, 10))
+            u = random_reduced(rng, rng.randrange(6))
+            w = u * w * ~u
+            n = rng.randrange(1, 6)
+            if w.codes:
+                assert twosquares.words._power_length(w.codes, n) == len(w**n), (w, n)
+
+
 FUZZ_ALPHABET = "xXyYe()[],^-0123 9"
 
 
@@ -124,10 +185,19 @@ def parse_outcome(parser, expr):
         return str(exc), exc.position
 
 
+def assert_same_outcome(expr):
+    """Both parsers agree, except that only the streaming one caps the length."""
+    got, want = parse_outcome(parse, expr), parse_outcome(reference_parse, expr)
+    if isinstance(want, Word) and len(want) > MAX_LETTERS:
+        assert isinstance(got, tuple) and got[0].startswith("word longer than"), expr
+    else:
+        assert got == want, expr
+
+
 def small_exponents(expr):
-    # Neither parser caps a word by its length, so "(x^9999)^9999" would
-    # build 10^8 letters twice over; runs of four or more digits are left
-    # out to keep memory small.
+    # The reference parser does not cap a word by its length, so
+    # "(x^9999)^9999" would build 10^8 letters there; runs of four or
+    # more digits are left out to keep memory small.
     return re.search(r"\d{4}", expr) is None
 
 
@@ -143,14 +213,22 @@ class TestParseAgainstReference:
         for _ in range(20_000):
             expr = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randint(1, 13)))
             if small_exponents(expr):
-                assert parse_outcome(parse, expr) == parse_outcome(reference_parse, expr), expr
+                assert_same_outcome(expr)
                 compared += 1
         assert compared > 19_000
 
     @settings(max_examples=500, deadline=None)
     @given(st.text(FUZZ_ALPHABET, min_size=1, max_size=13).filter(small_exponents))
     def test_hypothesis_strings(self, expr):
-        assert parse_outcome(parse, expr) == parse_outcome(reference_parse, expr)
+        assert_same_outcome(expr)
+
+    def test_over_cap_words_refused(self):
+        # 13 characters within the fuzz alphabet and digit filter, yet
+        # about 2 million letters once powered
+        expr = "[x^999,y]^999"
+        assert small_exponents(expr)
+        assert len(reference_parse(expr)) > MAX_LETTERS
+        assert_same_outcome(expr)
 
 
 class TestGroupOps:
