@@ -1,23 +1,16 @@
-"""Compare the pure-Python and compiled word kernels on the hot operations.
+"""Time the word kernel on its hot operations.
 
-Usage: python3 benchmarks/bench_backends.py [--repeats N]
+Usage: python3 benchmarks/bench_kernel.py [--repeats N]
 
-Each benchmark runs the identical workload against twosquares._kernel_py
-and (if built) twosquares._speedups, reporting per-op times and speedup.
-Results are asserted equal along the way, so this doubles as a stress
-parity check.
+Each workload runs against twosquares.kernel and reports the best
+wall time of N runs.
 """
 
 import argparse
 import random
 import time
 
-from twosquares import _kernel_py
-
-try:
-    from twosquares import _speedups
-except ImportError:
-    _speedups = None
+from twosquares import kernel
 
 
 def random_codes(rng, length):
@@ -36,24 +29,25 @@ def random_reduced_codes(rng, length):
     return bytes(codes)
 
 
-def bench_reduce(kernel, data):
+def bench_reduce(data):
     return [kernel.reduce_word(raw) for raw in data]
 
 
-def bench_mul(kernel, data):
+def bench_mul(data):
     return [kernel.mul(u, v) for u, v in data]
 
 
-def bench_square_root(kernel, data):
+def bench_square_root(data):
     return [kernel.square_root(w) for w in data]
 
 
-def bench_search(kernel, data):
+def bench_search(data):
     return [kernel.search_square_pair(g, bound) for g, bound in data]
 
 
-def sweep(kernel, max_len, bound):
+def bench_sweep(data):
     """Criterion-8 style scan: search every short balanced word."""
+    max_len, bound = data
     hits = 0
     for n in range(max_len + 1):
         for w in kernel.words_of_length(n):
@@ -65,11 +59,6 @@ def sweep(kernel, max_len, bound):
     return hits
 
 
-def bench_sweep(kernel, data):
-    (max_len, bound) = data
-    return sweep(kernel, max_len, bound)
-
-
 def make_workloads(rng):
     return [
         ("reduce_word (500 x len 2000)",
@@ -79,7 +68,7 @@ def make_workloads(rng):
                      for _ in range(5000)]),
         ("square_root (5000 x len 400)",
          bench_square_root,
-         [_kernel_py.mul(w, w) for w in
+         [kernel.mul(w, w) for w in
           (random_reduced_codes(rng, 200) for _ in range(5000))]),
         ("search miss ([x,y], bound 9)",
          bench_search, [(bytes([0, 2, 1, 3]), 9)]),
@@ -89,41 +78,20 @@ def make_workloads(rng):
 
 
 def run(repeats):
-    rng = random.Random(20260809)
-    workloads = make_workloads(rng)
-    kernels = [("python", _kernel_py)]
-    if _speedups is not None:
-        kernels.append(("c", _speedups))
-    else:
-        print("note: compiled kernel not built; benchmarking pure Python only\n")
-
+    workloads = make_workloads(random.Random(20260809))
     width = max(len(name) for name, _, _ in workloads)
-    header = f"{'benchmark':<{width}}  " + "".join(f"{n:>12}" for n, _ in kernels)
-    if len(kernels) == 2:
-        header += f"{'speedup':>10}"
+    header = f"{'benchmark':<{width}}  {'time':>12}"
     print(header)
     print("-" * len(header))
-
     for name, fn, data in workloads:
-        times = []
-        results = []
-        for _, kernel in kernels:
-            best = min(
-                _timed(fn, kernel, data) for _ in range(repeats)
-            )
-            times.append(best[0])
-            results.append(best[1])
-        assert all(r == results[0] for r in results), f"backends disagree on {name}"
-        row = f"{name:<{width}}  " + "".join(f"{t * 1000:>10.1f}ms" for t in times)
-        if len(times) == 2:
-            row += f"{times[0] / times[1]:>9.1f}x"
-        print(row)
+        best = min(_timed(fn, data) for _ in range(repeats))
+        print(f"{name:<{width}}  {best * 1000:>10.1f}ms")
 
 
-def _timed(fn, kernel, data):
+def _timed(fn, data):
     start = time.perf_counter()
-    result = fn(kernel, data)
-    return time.perf_counter() - start, result
+    fn(data)
+    return time.perf_counter() - start
 
 
 def main():

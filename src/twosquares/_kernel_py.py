@@ -3,8 +3,7 @@
 A word is a ``bytes`` string over the four letter codes 0 = x, 1 = x^-1,
 2 = y, 3 = y^-1, so the inverse of a letter is ``letter ^ 1``.  All
 functions assume their inputs are freely reduced unless stated otherwise,
-and always return reduced words.  ``_speedups.pyx`` implements the same
-contract at C speed; ``kernel`` selects one of the two at import time.
+and always return reduced words.  ``kernel`` re-exports these names.
 """
 
 BACKEND = "python"

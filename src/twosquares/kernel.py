@@ -1,25 +1,12 @@
-"""Kernel backend selection.
+"""Word kernels: reduction, products, inverses, square roots, witness search."""
 
-The compiled extension is used when available; otherwise the pure-Python
-kernels take over with identical behaviour.  Set ``TWOSQUARES_PURE=1`` to
-force the pure backend (useful for benchmarking and debugging).
-"""
-
-import os
-
-if os.environ.get("TWOSQUARES_PURE") == "1":
-    from . import _kernel_py as _impl
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernel_py as _impl
-
-BACKEND = _impl.BACKEND
-
-reduce_word = _impl.reduce_word
-mul = _impl.mul
-inv = _impl.inv
-square_root = _impl.square_root
-words_of_length = _impl.words_of_length
-search_square_pair = _impl.search_square_pair
+# Re-exported, not defined here, so a tracer patching kernel.mul skips the search's own calls.
+from ._kernel_py import (
+    BACKEND,
+    inv,
+    mul,
+    reduce_word,
+    search_square_pair,
+    square_root,
+    words_of_length,
+)

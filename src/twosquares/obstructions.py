@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .cover import ChainPair, NotALoopError, lift_chain
+from .cover import ChainPair, homology_image, lift_chain
 from .laurent import Laurent1
 from .oracle import SearchOutcome, Witness, search_with_stats
 from .words import Word, abelianize
@@ -147,12 +147,6 @@ class ObstructionReport:
         }
 
 
-def _require_loop(w: Word):
-    sums = abelianize(w)
-    if sums != (0, 0):
-        raise NotALoopError(w, sums)
-
-
 class _LadderPass(NamedTuple):
     f: Laurent1
     g: Laurent1
@@ -188,8 +182,7 @@ def _ladder_pass(chain: ChainPair, depth: int) -> _LadderPass:
 def _loop_pass(w: Word, depth: int) -> _LadderPass:
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    _require_loop(w)
-    return _ladder_pass(lift_chain(w), depth)
+    return _ladder_pass(homology_image(w), depth)
 
 
 def phi(w: Word) -> int:
@@ -234,8 +227,7 @@ def factor_criterion(w: Word, side: str = "P") -> FactorReport:
     side is a symmetric extension of the P-side criterion.  Raises
     InapplicableCriterionError when the chosen coefficient is zero.
     """
-    _require_loop(w)
-    return _factor_from_chain(lift_chain(w), side)
+    return _factor_from_chain(homology_image(w), side)
 
 
 def _factor_from_chain(chain: ChainPair, side: str) -> FactorReport:

@@ -21,7 +21,10 @@ _CODE_OF = {"x": 0, "X": 1, "y": 2, "Y": 3}
 MAX_EXPONENT = 2**63 - 1
 # Parsed words are capped by length: a letter run or a group power
 # longer than this is refused before it is built, and no group's value
-# may grow past it.
+# may grow past it.  The letters held for the open groups (their
+# enclosing values and commutator left factors) count against the same
+# cap, together with the innermost value, whenever a group opens, reaches
+# its ',' or closes.
 MAX_LETTERS = 2**20
 
 
@@ -227,17 +230,22 @@ def parse(expr: str) -> Word:
     """
     buf = bytearray()  # reduced codes of the innermost open group
     stack = []  # enclosing groups: (opener, position, outer buf, left factor)
+    held = 0  # letters in the outer bufs and left factors on the stack
     for m in _TOKEN.finditer(expr):
         atom, sign, digits, other = m.groups()
         if atom is None:
+            if held + len(buf) > MAX_LETTERS:
+                raise ParseError(_TOO_LONG, m.start(4))
             if other == "(" or other == "[":
                 stack.append((other, m.start(4), buf, None))
+                held += len(buf)
                 buf = bytearray()
             elif other == "," and stack and stack[-1][0] == "[":
                 opener, pos, outer, left = stack[-1]
                 if left is not None:
                     raise ParseError("unclosed '['", pos)
                 stack[-1] = (opener, pos, outer, Word._from_reduced(bytes(buf)))
+                held += len(buf)
                 buf = bytearray()
             else:
                 raise ParseError(f"unexpected {other!r}", m.start(4))
@@ -266,7 +274,10 @@ def parse(expr: str) -> Word:
         # a closing bracket: it must match the innermost open group
         if not stack or stack[-1][0] != ("(" if atom == ")" else "["):
             raise ParseError(f"unexpected {atom!r}", m.start(1))
+        if held + len(buf) > MAX_LETTERS:
+            raise ParseError(_TOO_LONG, m.start(1))
         _, pos, outer, left = stack.pop()
+        held -= len(outer) + (0 if left is None else len(left))
         if atom == ")":
             group = buf
         elif left is None:

@@ -1,86 +1,154 @@
-"""Pure-Python vs compiled kernels must be indistinguishable."""
+"""The word kernel against independent definitions of its contract."""
 
-import random
+from itertools import product
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
-from twosquares import _kernel_py
+import twosquares
+from twosquares import _kernel_py, kernel
+from twosquares.kernel import inv, mul, reduce_word, search_square_pair, square_root, words_of_length
 
-try:
-    from twosquares import _speedups
-except ImportError:
-    _speedups = None
-
-needs_speedups = pytest.mark.skipif(
-    _speedups is None, reason="compiled kernel not built"
-)
+_CHARS = "xXyY"
 
 
-def random_codes(rng, length):
-    return bytes(rng.randrange(4) for _ in range(length))
+def ref_reduce(codes):
+    """Delete adjacent inverse pairs until none is left."""
+    s = "".join(_CHARS[c] for c in codes)
+    while True:
+        t = s.replace("xX", "").replace("Xx", "").replace("yY", "").replace("Yy", "")
+        if t == s:
+            return bytes(_CHARS.index(ch) for ch in s)
+        s = t
 
 
-def random_reduced_codes(rng, length):
-    if length == 0:
-        return b""
-    codes = [rng.randrange(4)]
-    for _ in range(length - 1):
-        c = rng.randrange(3)
-        if c >= codes[-1] ^ 1:
-            c += 1
-        codes.append(c)
-    return bytes(codes)
+def ref_inv(codes):
+    return bytes(c ^ 1 for c in reversed(codes))
+
+
+def is_reduced(codes):
+    return all(a != b ^ 1 for a, b in zip(codes, codes[1:]))
+
+
+def ref_root(w):
+    """The v with v v == w, by trying every seam.
+
+    If p letters cancel where v meets v, then w = v[:-p] + v[p:] with
+    2p <= |v|, so v is the first half of w followed by the last p
+    letters of w.
+    """
+    n = len(w)
+    if n % 2:
+        return None
+    half = n // 2
+    for p in range(half + 1):
+        v = w[:half] + w[n - p:]
+        if ref_reduce(v + v) == w:
+            return v
+    return None
+
+
+def reduced_up_to(n):
+    """Every reduced word of length <= n, in shortlex order."""
+    return [bytes(t) for k in range(n + 1) for t in product(range(4), repeat=k) if is_reduced(t)]
+
+
+def ref_search(g, bound):
+    """Shortlex scan for a with a^-2 g a square; same return shape as the kernel."""
+    checked = 0
+    for a in reduced_up_to(bound):
+        checked += 1
+        b = ref_root(ref_reduce(ref_inv(a) + ref_inv(a) + g))
+        if b is not None:
+            return a, b, checked
+    return None, None, checked
+
+
+def words(max_size):
+    return st.lists(st.integers(0, 3), max_size=max_size).map(ref_reduce)
+
+
+@st.composite
+def seam_pairs(draw):
+    """(u, v) where v starts by cancelling a suffix of u."""
+    u = draw(words(20))
+    k = draw(st.integers(0, len(u)))
+    v = ref_reduce(ref_inv(u[len(u) - k:]) + draw(words(20)))
+    return u, v
+
+
+@st.composite
+def search_targets(draw):
+    """g with |g| <= 8: a random word, or a product of two short squares."""
+    if draw(st.booleans()):
+        return draw(words(8))
+    a, b = draw(words(2)), draw(words(2))
+    return ref_reduce(a + a + b + b)
 
 
 def test_pure_backend_reports_itself():
     assert _kernel_py.BACKEND == "python"
+    assert kernel.BACKEND == twosquares.KERNEL_BACKEND == "python"
 
 
-@needs_speedups
-def test_compiled_backend_reports_itself():
-    assert _speedups.BACKEND == "c"
+def test_kernel_reexports_the_implementation():
+    for name in ("reduce_word", "mul", "inv", "square_root", "words_of_length",
+                 "search_square_pair"):
+        assert getattr(kernel, name) is getattr(_kernel_py, name)
 
 
-@needs_speedups
-def test_reduce_parity():
-    rng = random.Random(1)
-    for _ in range(2000):
-        raw = random_codes(rng, rng.randrange(40))
-        assert _speedups.reduce_word(raw) == _kernel_py.reduce_word(raw)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=40))
+def test_reduce_word_matches_pair_deletion(raw):
+    assert reduce_word(bytes(raw)) == ref_reduce(raw)
 
 
-@needs_speedups
-def test_mul_inv_parity():
-    rng = random.Random(2)
-    for _ in range(2000):
-        u = random_reduced_codes(rng, rng.randrange(20))
-        v = random_reduced_codes(rng, rng.randrange(20))
-        assert _speedups.mul(u, v) == _kernel_py.mul(u, v)
-        assert _speedups.inv(u) == _kernel_py.inv(u)
+@settings(max_examples=200, deadline=None)
+@given(seam_pairs())
+def test_mul_is_reduced_concatenation(pair):
+    u, v = pair
+    assert mul(u, v) == reduce_word(u + v) == ref_reduce(u + v)
 
 
-@needs_speedups
-def test_square_root_parity():
-    rng = random.Random(3)
-    for _ in range(2000):
-        w = random_reduced_codes(rng, rng.randrange(16))
-        assert _speedups.square_root(w) == _kernel_py.square_root(w)
-        sq = _kernel_py.mul(w, w)
-        assert _speedups.square_root(sq) == _kernel_py.square_root(sq) == w
+@settings(max_examples=200, deadline=None)
+@given(words(30))
+def test_inv_is_an_inverse(u):
+    assert inv(u) == ref_inv(u)
+    assert inv(inv(u)) == u
+    assert mul(u, inv(u)) == b""
+    assert mul(inv(u), u) == b""
 
 
-@needs_speedups
-def test_enumeration_parity():
-    for n in range(6):
-        assert list(_speedups.words_of_length(n)) == list(_kernel_py.words_of_length(n))
+@settings(max_examples=200, deadline=None)
+@given(words(30))
+def test_square_root_of_a_square(w):
+    assert square_root(mul(w, w)) == w
 
 
-@needs_speedups
-def test_search_parity():
-    rng = random.Random(4)
-    for _ in range(300):
-        g = random_reduced_codes(rng, rng.randrange(10))
-        assert _speedups.search_square_pair(g, 3) == _kernel_py.search_square_pair(g, 3)
+def test_square_root_exhaustive_short_words():
+    # A root is never longer than its square, so the squares of all
+    # words of length <= 6 include every square of length <= 6.
+    short = reduced_up_to(6)
+    squares = {}
+    for v in short:
+        assert squares.setdefault(ref_reduce(v + v), v) == v  # roots are unique
+    roots = 0
+    for w in short:
+        assert square_root(w) == squares.get(w), w
+        roots += square_root(w) is not None
+    assert 0 < roots < len(short)
+
+
+def test_words_of_length_exhaustive():
+    for n in range(7):
+        want = [bytes(t) for t in product(range(4), repeat=n) if is_reduced(t)]
+        assert list(words_of_length(n)) == want
+        assert len(want) == (1 if n == 0 else 4 * 3 ** (n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_targets())
+def test_search_matches_brute_force_scan(g):
+    assert search_square_pair(g, 3) == ref_search(g, 3)
 
 
 def test_pure_search_basics():

@@ -115,6 +115,18 @@ class TestParse:
             assert parse(str(w)) == w
 
 
+def parse_error_and_peak(expr):
+    """The ParseError that parse(expr) raises, and the tracemalloc peak on the way."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            parse(expr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return info.value, peak
+
+
 class TestLengthCap:
     """Words longer than MAX_LETTERS are refused before they are built.
 
@@ -129,14 +141,8 @@ class TestLengthCap:
         ("x^4611686018427387904", 0),
     ])
     def test_refused_before_allocation(self, expr, position):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ParseError) as info:
-                parse(expr)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert str(info.value) == f"word longer than 1048576 letters (position {position})"
+        error, peak = parse_error_and_peak(expr)
+        assert str(error) == f"word longer than 1048576 letters (position {position})"
         assert peak < 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
 
     def test_cap_itself_parses(self):
@@ -163,6 +169,27 @@ class TestLengthCap:
         with pytest.raises(ParseError) as info:
             parse("y^1048575Xx^3")
         assert info.value.position == 10
+
+    @pytest.mark.parametrize("expr, position", [
+        ("x^1048576(" * 20, 19),
+        ("[x^1048576,y^1048576]", 20),
+    ])
+    def test_open_groups_count_against_the_cap(self, expr, position):
+        # the values held for open groups add up: without the total cap
+        # these reach tracemalloc peaks of 21 MB and 14 MB
+        error, peak = parse_error_and_peak(expr)
+        assert str(error) == f"word longer than 1048576 letters (position {position})"
+        assert peak < 4 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
+
+    def test_total_cap_refuses_values_that_would_cancel(self):
+        # the inner group cancels its enclosing value, but both are held
+        # at once when it closes
+        expr = "x^1048576(X^1048576)"
+        assert reference_parse(expr) == Word()
+        with pytest.raises(ParseError) as info:
+            parse(expr)
+        assert info.value.position == 19
+        assert parse("x^524288(X^524288)") == Word()
 
     def test_power_length_matches_power(self, rng):
         for _ in range(500):
