@@ -144,6 +144,20 @@ class TestErrors:
         code, _, _ = run_cli(capsys, "check")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, message", [
+        (("check", "--depth", "0"), "--depth must be >= 1"),
+        (("ladder", "--depth", "0"), "--depth must be >= 1"),
+        (("check", "--bound", "-1"), "--bound must be >= 0"),
+        (("search", "--bound", "-1"), "--bound must be >= 0"),
+    ])
+    def test_option_range_errors(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv, "[x,y]")
+        assert (code, out, err) == (EXIT_USAGE, "", f"twosquares: error: {message}\n")
+
+    def test_option_range_checked_before_the_word(self, capsys):
+        code, _, err = run_cli(capsys, "check", "--depth", "0", "--bound", "-1", "x^")
+        assert (code, err) == (EXIT_USAGE, "twosquares: error: --depth must be >= 1\n")
+
     def test_dispatch_rejects_unknown_command(self):
         with pytest.raises(ValueError, match="unknown command 'frobnicate'"):
             run(CliConfig(command="frobnicate", word_expr="[x,y]"))
