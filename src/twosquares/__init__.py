@@ -8,11 +8,6 @@ of it at once with analyze().
 
 from .kernel import BACKEND as KERNEL_BACKEND
 from .words import (
-    GEN_X,
-    GEN_X_INV,
-    GEN_Y,
-    GEN_Y_INV,
-    Generator,
     ParseError,
     Word,
     abelianize,
@@ -21,7 +16,6 @@ from .words import (
     in_commutator_subgroup,
     parse,
     square_root,
-    three_squares,
 )
 from .laurent import Laurent1, Laurent2
 from .cover import (
@@ -50,23 +44,15 @@ from .obstructions import (
 from .oracle import (
     SearchOutcome,
     Witness,
-    conjugates_to_squares,
-    count_reduced,
     enumerate_reduced,
     search_two_squares,
     search_with_stats,
-    squares_to_conjugates,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "KERNEL_BACKEND",
-    "Generator",
-    "GEN_X",
-    "GEN_X_INV",
-    "GEN_Y",
-    "GEN_Y_INV",
     "ParseError",
     "Word",
     "abelianize",
@@ -75,7 +61,6 @@ __all__ = [
     "in_commutator_subgroup",
     "parse",
     "square_root",
-    "three_squares",
     "Laurent1",
     "Laurent2",
     "ChainPair",
@@ -99,11 +84,8 @@ __all__ = [
     "psi",
     "SearchOutcome",
     "Witness",
-    "conjugates_to_squares",
-    "count_reduced",
     "enumerate_reduced",
     "search_two_squares",
     "search_with_stats",
-    "squares_to_conjugates",
     "__version__",
 ]

@@ -12,28 +12,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import cache
 
 from .cover import NotALoopError, lift_chain, lift_trace
-from .obstructions import DEFAULT_DEPTH, ObstructionReport, analyze, ladder
+from .obstructions import DEFAULT_DEPTH, LadderEntry, ObstructionReport, analyze, ladder
 from .oracle import search_with_stats
 from .words import ParseError, parse
 
 EXIT_OK = 0
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
-
-
-@dataclass
-class CliConfig:
-    command: str
-    word_expr: str
-    depth: int = DEFAULT_DEPTH
-    bound: int | None = None  # None: use the word's length
-    format: str = "text"
-    side: str = "P"
-    trace: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,85 +62,58 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    cfg = CliConfig(command=args.command, word_expr=args.word, format=args.format)
-    if hasattr(args, "depth"):
-        if args.depth < 1:
-            raise SystemExit(_usage_error("--depth must be >= 1"))
-        cfg.depth = args.depth
-    if hasattr(args, "bound") and args.bound is not None:
-        if args.bound < 0:
-            raise SystemExit(_usage_error("--bound must be >= 0"))
-        cfg.bound = args.bound
-    if hasattr(args, "side"):
-        cfg.side = args.side
-    if hasattr(args, "trace"):
-        cfg.trace = args.trace
-    return cfg
-
-
-def _usage_error(message: str) -> int:
-    print(f"twosquares: error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def run(config: CliConfig) -> int:
+def run(args: argparse.Namespace) -> int:
+    """Carry out one parsed command line; the options' ranges are main's to check."""
     try:
-        word = parse(config.word_expr)
+        word = parse(args.word)
     except ParseError as exc:
         print(f"twosquares: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    bound = config.bound if config.bound is not None else len(word)
-
-    if config.command == "check":
-        report = analyze(word, depth=config.depth, bound=bound, side=config.side)
-        if config.format == "json":
+    if args.command == "check":
+        bound = len(word) if args.bound is None else args.bound
+        report = analyze(word, depth=args.depth, bound=bound, side=args.side)
+        if args.format == "json":
             _emit_json(report.to_json())
         else:
             print(render_report(report))
         return EXIT_UNKNOWN if report.verdict.kind == "Unknown" else EXIT_OK
 
-    if config.command == "ladder":
+    if args.command == "ladder":
         try:
-            entries = ladder(word, depth=config.depth)
+            entries = ladder(word, depth=args.depth)
         except NotALoopError as exc:
             print(f"twosquares: error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if config.format == "json":
+        if args.format == "json":
             _emit_json([e.to_json() for e in entries])
         else:
             print(f"word: {word}")
             for e in entries:
-                print(
-                    f"  k={e.k}  phi={e.phi}{_flag(e.phi_defined)}"
-                    f"  psi={e.psi}{_flag(e.psi_defined)}"
-                )
+                print(_ladder_line(e))
             print("  (* = raw value, not conjugacy-invariant at this depth)")
         return EXIT_OK
 
-    if config.command == "chain":
+    if args.command == "chain":
         chain = lift_chain(word)
-        if config.format == "json":
+        if args.format == "json":
             payload = chain.to_json()
-            if config.trace:
+            if args.trace:
                 payload["trace"] = [[i, j] for i, j in lift_trace(word)]
             _emit_json(payload)
         else:
-            print(f"word: {word}")
-            print(f"P = {chain.P}")
-            print(f"Q = {chain.Q}")
-            if config.trace:
+            print(f"word: {word}\nP = {chain.P}\nQ = {chain.Q}")
+            if args.trace:
                 print("trace: " + "".join(f"({i},{j})" for i, j in lift_trace(word)))
         return EXIT_OK
 
-    if config.command == "search":
-        outcome = search_with_stats(word, bound)
-        if config.format == "json":
+    if args.command == "search":
+        outcome = search_with_stats(word, len(word) if args.bound is None else args.bound)
+        if args.format == "json":
             _emit_json(outcome.to_json())
         elif outcome.witness is not None:
             w = outcome.witness
@@ -167,11 +128,14 @@ def run(config: CliConfig) -> int:
             )
         return EXIT_OK
 
-    raise ValueError(f"unknown command {config.command!r}")
+    raise ValueError(f"unknown command {args.command!r}")
 
 
-def _flag(defined: bool) -> str:
-    return "" if defined else "*"
+def _ladder_line(e: LadderEntry) -> str:
+    """One rung; * marks a raw value, not conjugacy-invariant at this depth."""
+    phi_flag = "" if e.phi_defined else "*"
+    psi_flag = "" if e.psi_defined else "*"
+    return f"  k={e.k}  phi={e.phi}{phi_flag}  psi={e.psi}{psi_flag}"
 
 
 def render_report(report: ObstructionReport) -> str:
@@ -184,11 +148,7 @@ def render_report(report: ObstructionReport) -> str:
         lines.append(f"f(y) = P(1,y) = {report.f.to_str('y')}")
         lines.append(f"g(x) = Q(x,1) = {report.g.to_str('x')}")
         lines.append(f"ladder (depth {report.depth}):")
-        for e in report.ladder:
-            lines.append(
-                f"  k={e.k}  phi={e.phi}{_flag(e.phi_defined)}"
-                f"  psi={e.psi}{_flag(e.psi_defined)}"
-            )
+        lines.extend(_ladder_line(e) for e in report.ladder)
         if not report.f:
             lines.append("f = 0 identically: every phi_k vanishes")
         if not report.g:
@@ -230,11 +190,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        config = _config_from_args(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return run(config)
+    for option, least in (("depth", 1), ("bound", 0)):
+        value = getattr(args, option, None)  # None: absent, or --bound left to the word
+        if value is not None and value < least:
+            print(f"twosquares: error: --{option} must be >= {least}", file=sys.stderr)
+            return EXIT_USAGE
+    return run(args)
 
 
 if __name__ == "__main__":

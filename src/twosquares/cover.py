@@ -45,9 +45,6 @@ class ChainPair:
     def __neg__(self) -> "ChainPair":
         return ChainPair(-self.P, -self.Q)
 
-    def is_cycle(self) -> bool:
-        return self.P.eval11() == 0 and self.Q.eval11() == 0
-
     def to_json(self) -> dict:
         return {"P": self.P.to_json(), "Q": self.Q.to_json()}
 

@@ -5,9 +5,6 @@ order x < x^-1 < y < y^-1) and solves for the second factor: g = a^2 b^2
 iff a^-2 g is a square, and square roots in a free group are unique and
 checkable in linear time.  The length bound applies to a only, so a miss
 means "no witness with |a| <= bound", never a proof of impossibility.
-
-A witness in squares form (g = a^2 b^2) converts to a product of two
-conjugate elements and back via a^2 b^2 = (ab)(b^-1 (ab) b).
 """
 
 from __future__ import annotations
@@ -21,20 +18,14 @@ from .words import Word
 
 @dataclass(frozen=True)
 class Witness:
-    """A decomposition of a word: a^2 b^2 ("squares") or a (b^-1 a b) ("conjugates")."""
+    """A decomposition a^2 b^2 of a word."""
 
     a: Word
     b: Word
-    form: str  # "squares" | "conjugates"
 
     def product(self) -> Word:
         """Re-multiply the decomposition (the reduction is the re-verification)."""
-        if self.form == "squares":
-            return self.a * self.a * self.b * self.b
-        return self.a * (~self.b * self.a * self.b)
-
-    def to_json(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b), "form": self.form}
+        return self.a * self.a * self.b * self.b
 
 
 @dataclass(frozen=True)
@@ -54,11 +45,6 @@ class SearchOutcome:
             "checked": self.checked,
             "bound": self.bound,
         }
-
-
-def count_reduced(max_len: int) -> int:
-    """Number of reduced words of length <= max_len: 1 + sum of 4*3^(n-1)."""
-    return 2 * 3**max_len - 1
 
 
 def enumerate_reduced(max_len: int) -> Iterator[Word]:
@@ -83,32 +69,7 @@ def search_with_stats(g: Word, bound: int) -> SearchOutcome:
     a, b, checked = kernel.search_square_pair(g.codes, bound)
     if a is None:
         return SearchOutcome(None, checked, bound)
-    witness = Witness(Word._from_reduced(a), Word._from_reduced(b), "squares")
-    _verify(witness, g)
+    witness = Witness(Word._from_reduced(a), Word._from_reduced(b))
+    if witness.product() != g:  # an explicit raise, so ``python -O`` keeps it
+        raise RuntimeError(f"witness {witness} does not multiply to {g}")
     return SearchOutcome(witness, checked, bound)
-
-
-def _verify(witness: Witness, target: Word) -> None:
-    """Re-multiply a witness; an explicit raise, so ``python -O`` keeps it."""
-    if witness.product() != target:
-        raise RuntimeError(f"witness {witness} does not multiply to {target}")
-
-
-def squares_to_conjugates(w: Witness) -> Witness:
-    """a^2 b^2 = (ab)(b^-1 (ab) b): convert to conjugates form."""
-    if w.form != "squares":
-        raise ValueError("expected a witness in squares form")
-    target = w.product()
-    out = Witness(w.a * w.b, w.b, "conjugates")
-    _verify(out, target)
-    return out
-
-
-def conjugates_to_squares(w: Witness) -> Witness:
-    """c (d^-1 c d) = (c d^-1)^2 d^2: convert to squares form."""
-    if w.form != "conjugates":
-        raise ValueError("expected a witness in conjugates form")
-    target = w.product()
-    out = Witness(w.a * ~w.b, w.b, "squares")
-    _verify(out, target)
-    return out

@@ -8,7 +8,6 @@ internally a word is a bytes string of letter codes (see kernel).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from . import kernel
@@ -36,43 +35,13 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Generator:
-    """One of the four letters: x or y with sign +1, or their inverses."""
-
-    letter: str  # 'x' or 'y'
-    sign: int  # +1 or -1
-
-    @property
-    def code(self) -> int:
-        c = 0 if self.letter == "x" else 2
-        return c if self.sign > 0 else c | 1
-
-    def inverse(self) -> "Generator":
-        return _GENERATORS[self.code ^ 1]
-
-    def __str__(self) -> str:
-        return _CHARS[self.code]
-
-
-_GENERATORS = (
-    Generator("x", 1),
-    Generator("x", -1),
-    Generator("y", 1),
-    Generator("y", -1),
-)
-GEN_X, GEN_X_INV, GEN_Y, GEN_Y_INV = _GENERATORS
-
-LettersLike = Union[str, bytes, bytearray, Iterable[Union[int, Generator]]]
-
-
 class Word:
     """A freely reduced word in x, y and their inverses.
 
     Accepts a plain letter string over xXyY, a bytes string of letter
-    codes, or an iterable of codes / Generator values; reduction happens
-    here, so every Word is canonical.  Immutable by convention: no method
-    mutates, all operations return fresh words.
+    codes, or an iterable of codes; reduction happens here, so every Word
+    is canonical.  Immutable by convention: no method mutates, all
+    operations return fresh words.
 
     >>> Word("xX")
     Word('e')
@@ -82,7 +51,7 @@ class Word:
 
     __slots__ = ("_letters",)
 
-    def __init__(self, letters: LettersLike = b""):
+    def __init__(self, letters: Union[str, Iterable[int]] = b""):
         if isinstance(letters, Word):
             self._letters = letters._letters
             return
@@ -91,10 +60,8 @@ class Word:
                 codes = bytes(_CODE_OF[ch] for ch in letters)
             except KeyError as exc:
                 raise ValueError(f"not a word letter: {exc.args[0]!r}") from None
-        elif isinstance(letters, (bytes, bytearray)):
-            codes = bytes(letters)
         else:
-            codes = bytes(g.code if isinstance(g, Generator) else g for g in letters)
+            codes = bytes(letters)
         if any(c > 3 for c in codes):
             raise ValueError("letter codes must be in 0..3")
         self._letters = kernel.reduce_word(codes)
@@ -105,20 +72,9 @@ class Word:
         w._letters = data
         return w
 
-    @classmethod
-    def identity(cls) -> "Word":
-        return _IDENTITY
-
     @property
     def codes(self) -> bytes:
         return self._letters
-
-    @property
-    def letters(self) -> tuple[Generator, ...]:
-        return tuple(_GENERATORS[c] for c in self._letters)
-
-    def is_identity(self) -> bool:
-        return not self._letters
 
     def __len__(self) -> int:
         return len(self._letters)
@@ -203,11 +159,6 @@ def square_root(w: Word) -> Optional[Word]:
     return None if root is None else Word._from_reduced(root)
 
 
-def three_squares(g: Word, h: Word) -> tuple[Word, Word, Word]:
-    """(g, g^-1 h, h^-1): the squares of these multiply to [g, h]."""
-    return g, ~g * h, ~h
-
-
 def parse(expr: str) -> Word:
     """Parse a word expression into a reduced Word.
 
@@ -278,13 +229,20 @@ def parse(expr: str) -> Word:
             raise ParseError(_TOO_LONG, m.start(1))
         _, pos, outer, left = stack.pop()
         held -= len(outer) + (0 if left is None else len(left))
+        if atom == "]" and left is None:
+            raise ParseError("expected ',' in commutator", pos)
+        n = 1 if sign is None else _exponent(sign, digits, m.start(2))
         if atom == ")":
             group = buf
-        elif left is None:
-            raise ParseError("expected ',' in commutator", pos)
-        else:
+        elif n == 0:  # [u,v]^0 is e, whatever [u,v] is
+            group = b""
+        elif 2 * (len(left) + len(buf)) <= MAX_LETTERS:
             group = commutator(left, Word._from_reduced(bytes(buf))).codes
-        n = 1 if sign is None else _exponent(sign, digits, m.start(2))
+        else:  # [u,v] may outgrow the cap: count it before it is built
+            laid = _commutator_slices(left.codes, bytes(buf))
+            if sum(hi - lo for _, lo, hi in laid) > MAX_LETTERS:
+                raise ParseError(_TOO_LONG, m.start(1))
+            group = b"".join(memoryview(codes)[lo:hi] for codes, lo, hi in laid)
         if len(group) * abs(n) > MAX_LETTERS and _power_length(group, abs(n)) > MAX_LETTERS:
             raise ParseError(_TOO_LONG, m.start(1))
         if n != 1:
@@ -335,19 +293,50 @@ def _power_length(codes: bytes, n: int) -> int:
 
     Peeling the p inverse letter pairs off the two ends of w leaves a
     cyclically reduced core c with w = u c u^-1, so |w^n| = 2p + n|c|.
-    p is the longest common prefix of w and w^-1, found by bisection on
-    slice comparisons rather than letter by letter.
+    The last p letters of w are the inverse of its first p, so p is the
+    longest common suffix of the last half of w and w^-1.
     """
-    codes = bytes(codes)
-    rev = kernel.inv(codes)
-    lo, hi = 0, len(codes) // 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if codes[:mid] == rev[:mid]:
-            lo = mid
+    half = len(codes) // 2
+    p = _common_suffix(codes, len(codes) - half, len(codes), kernel.inv(codes), len(codes))
+    return 2 * p + n * (len(codes) - 2 * p)
+
+
+def _commutator_slices(u: bytes, v: bytes) -> list[tuple[bytes, int, int]]:
+    """The reduced u v u^-1 v^-1, for reduced u and v, as unbuilt slices.
+
+    The factors are laid down in turn as (codes, start, end) slices of u,
+    v and their inverses.  At each seam the longest suffix of the last
+    slice that is the inverse of the next factor's prefix cancels; a slice
+    that cancels whole lets the factor meet the slice before it.
+    """
+    u_inv, v_inv = kernel.inv(u), kernel.inv(v)
+    laid = []  # their concatenation is reduced
+    for w, w_inv in ((u, u_inv), (v, v_inv), (u_inv, u), (v_inv, v)):
+        start = 0  # letters of w cancelled so far
+        while start < len(w) and laid:
+            codes, lo, hi = laid.pop()
+            # the inverse of w[start:start + k] is the end of w_inv[:len(w) - start]
+            k = _common_suffix(codes, lo, hi, w_inv, len(w) - start)
+            start += k
+            if k < hi - lo:
+                laid.append((codes, lo, hi - k))
+                break
+        if start < len(w):
+            laid.append((w, start, len(w)))
+    return laid
+
+
+def _common_suffix(a: bytes, lo: int, hi: int, b: bytes, end: int) -> int:
+    """Longest common suffix of a[lo:hi] and b[:end]; bisection, no copies."""
+    view = memoryview(b)
+    found, most = 0, min(hi - lo, end)
+    while found < most:
+        mid = (found + most + 1) // 2
+        if a.endswith(view[end - mid : end], lo, hi):
+            found = mid
         else:
-            hi = mid - 1
-    return 2 * lo + n * (len(codes) - 2 * lo)
+            most = mid - 1
+    return found
 
 
 def _merge(buf: bytearray, codes: bytes) -> None:

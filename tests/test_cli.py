@@ -1,12 +1,13 @@
 """Command-line behaviour: output formats, exit codes, determinism."""
 
+import argparse
 import json
 
 import pytest
 
 import test_golden
 from twosquares import cli
-from twosquares.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, CliConfig, main, run
+from twosquares.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main, run
 
 
 def run_cli(capsys, *argv):
@@ -160,7 +161,7 @@ class TestErrors:
 
     def test_dispatch_rejects_unknown_command(self):
         with pytest.raises(ValueError, match="unknown command 'frobnicate'"):
-            run(CliConfig(command="frobnicate", word_expr="[x,y]"))
+            run(argparse.Namespace(command="frobnicate", word="[x,y]"))
 
 
 class TestDeterminism:

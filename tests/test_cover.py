@@ -86,7 +86,6 @@ class TestChainLaws:
             c = lift_chain(w)
             assert c.P.eval11() == 0
             assert c.Q.eval11() == 0
-            assert c.is_cycle()
 
     def test_deck_law(self, rng):
         for _ in range(500):

@@ -1,14 +1,11 @@
-"""Witness search, enumeration, and form conversions."""
+"""Witness search and enumeration."""
 
 import pytest
 
 from twosquares import kernel
 from twosquares import (
     InapplicableCriterionError,
-    Witness,
     Word,
-    conjugates_to_squares,
-    count_reduced,
     enumerate_reduced,
     factor_criterion,
     in_commutator_subgroup,
@@ -16,7 +13,6 @@ from twosquares import (
     parse,
     search_two_squares,
     search_with_stats,
-    squares_to_conjugates,
 )
 
 from conftest import random_reduced
@@ -24,11 +20,9 @@ from conftest import random_reduced
 
 class TestEnumeration:
     def test_counts(self):
-        assert count_reduced(0) == 1
-        assert count_reduced(1) == 5
-        assert count_reduced(3) == 53
-        for bound in range(5):
-            assert len(list(enumerate_reduced(bound))) == count_reduced(bound)
+        # 1 + sum of 4*3^(n-1) over n = 1..bound, that is 2*3^bound - 1
+        counts = [len(list(enumerate_reduced(bound))) for bound in range(5)]
+        assert counts == [2 * 3**bound - 1 for bound in range(5)] == [1, 5, 17, 53, 161]
 
     def test_shortlex_order_and_uniqueness(self):
         words = list(enumerate_reduced(4))
@@ -67,7 +61,7 @@ class TestSearch:
         assert outcome.bound == 3
         missing = search_with_stats(parse("[x,y]"), 2)
         assert missing.witness is None
-        assert missing.checked == count_reduced(2)
+        assert missing.checked == 17  # every reduced word of length <= 2
 
     def test_json(self):
         j = search_with_stats(parse("[x^2,y]"), 3).to_json()
@@ -96,49 +90,6 @@ class TestSearch:
         w = search_two_squares(parse("x^4"), 3)
         assert w.a == Word()
         assert w.b == parse("x^2")
-
-
-class TestConversions:
-    def test_squares_to_conjugates_example(self):
-        w = Witness(Word("x"), Word("yXY"), "squares")
-        c = squares_to_conjugates(w)
-        assert c.form == "conjugates"
-        assert (c.a, c.b) == (Word("x") * Word("yXY"), Word("yXY"))
-        assert c.product() == parse("[x^2,y]")
-
-    def test_trivial_and_power_cases(self):
-        e = Witness(Word(), Word(), "squares")
-        assert squares_to_conjugates(e).product() == Word()
-        w = Witness(Word("x"), Word("x"), "squares")
-        c = squares_to_conjugates(w)
-        assert (c.a, c.b) == (parse("x^2"), Word("x"))
-        assert c.product() == parse("x^4")
-
-    def test_conjugates_to_squares_examples(self):
-        c = Witness(Word("xy"), Word("y"), "conjugates")
-        s = conjugates_to_squares(c)
-        assert (s.a, s.b) == (Word("x"), Word("y"))
-        assert s.product() == parse("x^2y^2")
-        c2 = Witness(Word(), Word("xYx"), "conjugates")
-        s2 = conjugates_to_squares(c2)
-        assert s2.product() == Word()
-        assert (s2.a, s2.b) == (parse("(xYx)^-1"), parse("xYx"))
-
-    def test_roundtrip_random(self, rng):
-        for _ in range(300):
-            c = Witness(random_reduced(rng, rng.randrange(7)),
-                        random_reduced(rng, rng.randrange(7)), "conjugates")
-            target = c.product()
-            s = conjugates_to_squares(c)
-            assert s.product() == target
-            back = squares_to_conjugates(s)
-            assert back.product() == target
-
-    def test_form_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            squares_to_conjugates(Witness(Word(), Word(), "conjugates"))
-        with pytest.raises(ValueError):
-            conjugates_to_squares(Witness(Word(), Word(), "squares"))
 
 
 class TestCrossValidation:

@@ -17,7 +17,6 @@ from twosquares import (
     in_commutator_subgroup,
     parse,
     square_root,
-    three_squares,
 )
 from twosquares.oracle import enumerate_reduced
 from twosquares.words import MAX_LETTERS
@@ -180,6 +179,39 @@ class TestLengthCap:
         error, peak = parse_error_and_peak(expr)
         assert str(error) == f"word longer than 1048576 letters (position {position})"
         assert peak < 4 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
+
+    @pytest.mark.parametrize("expr", ["[x^524288,y^524288]", "[x^349525,y^349525]"])
+    def test_commutator_counted_before_it_is_built(self, expr):
+        # building [u,v] to measure it reached tracemalloc peaks of 7.0 MB
+        # and 4.7 MB on these
+        error, peak = parse_error_and_peak(expr)
+        assert str(error) == "word longer than 1048576 letters (position 18)"
+        assert peak < 4 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
+
+    def test_commutator_cancelling_under_the_cap_parses(self):
+        # the factors add up past half the cap, the reduced value does not
+        w = parse("[y^200000xY^200000,y^200000xyY^200000]")
+        assert w == parse("y^200000[x,xy]Y^200000") and len(w) == 400_006
+        assert len(parse("[x^262144y,Yx^262143]")) == MAX_LETTERS
+        with pytest.raises(ParseError) as info:
+            parse("[x^262144y,Yx^262144]")
+        assert info.value.position == 20
+        assert parse("[x^524288,y^524288]^0") == Word()
+
+    def test_commutator_slices_match_commutator(self, rng):
+        for i in range(500):
+            u = random_reduced(rng, rng.randrange(12))
+            v = random_reduced(rng, rng.randrange(12))
+            if i % 2:
+                # v starts with the inverse of a tail of u, and both share
+                # a conjugator, so every seam of [u,v] cancels
+                s = random_reduced(rng, rng.randrange(8))
+                tail = Word(u.codes[len(u) - rng.randrange(len(u) + 1):])
+                u, v = s * u * ~s, s * ~tail * v * ~s
+            want = commutator(u, v).codes
+            laid = twosquares.words._commutator_slices(u.codes, v.codes)
+            assert sum(hi - lo for _, lo, hi in laid) == len(want), (u, v)
+            assert b"".join(codes[lo:hi] for codes, lo, hi in laid) == want, (u, v)
 
     def test_total_cap_refuses_values_that_would_cancel(self):
         # the inner group cancels its enclosing value, but both are held
@@ -355,29 +387,6 @@ class TestSquareRoot:
                 assert square_root(w) is None
 
 
-class TestThreeSquares:
-    def test_generator_case(self):
-        a, b, c = three_squares(Word("x"), Word("y"))
-        assert (a, b, c) == (Word("x"), Word("Xy"), Word("Y"))
-        assert a * a * b * b * c * c == parse("[x,y]")
-
-    def test_equal_arguments_collapse(self):
-        a, b, c = three_squares(Word("x"), Word("x"))
-        assert a * a * b * b * c * c == Word()
-
-    def test_power_case(self):
-        g, h = parse("x^2"), parse("y^3")
-        a, b, c = three_squares(g, h)
-        assert a * a * b * b * c * c == commutator(g, h)
-
-    def test_random_identity(self, rng):
-        for _ in range(300):
-            g = random_reduced(rng, rng.randrange(9))
-            h = random_reduced(rng, rng.randrange(9))
-            a, b, c = three_squares(g, h)
-            assert a * a * b * b * c * c == commutator(g, h)
-
-
 class TestWordBasics:
     def test_equality_is_canonical(self):
         assert Word("xyX") * Word("xy") == Word("xyy")
@@ -387,11 +396,6 @@ class TestWordBasics:
         assert str(Word()) == "e"
         assert str(Word("xxxY")) == "x^3Y"
         assert str(parse("[x,y]")) == "xyXY"
-
-    def test_letters_view(self):
-        gens = parse("xY").letters
-        assert [(g.letter, g.sign) for g in gens] == [("x", 1), ("y", -1)]
-        assert gens[0].inverse().code == 1
 
     def test_invalid_input(self):
         with pytest.raises(ValueError):
