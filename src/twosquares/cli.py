@@ -106,7 +106,9 @@ def run(args: argparse.Namespace) -> int:
                 payload["trace"] = [[i, j] for i, j in lift_trace(word)]
             _emit_json(payload)
         else:
-            print(f"word: {word}\nP = {chain.P}\nQ = {chain.Q}")
+            print(f"word: {word}")
+            print(f"P = {chain.P}")
+            print(f"Q = {chain.Q}")
             if args.trace:
                 print("trace: " + "".join(f"({i},{j})" for i, j in lift_trace(word)))
         return EXIT_OK

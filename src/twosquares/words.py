@@ -52,14 +52,13 @@ class Word:
     __slots__ = ("_letters",)
 
     def __init__(self, letters: Union[str, Iterable[int]] = b""):
-        if isinstance(letters, Word):
-            self._letters = letters._letters
-            return
         if isinstance(letters, str):
             try:
                 codes = bytes(_CODE_OF[ch] for ch in letters)
             except KeyError as exc:
                 raise ValueError(f"not a word letter: {exc.args[0]!r}") from None
+        elif isinstance(letters, int):  # bytes(n) would be n zero codes
+            raise TypeError("Word() takes letters, not an int")
         else:
             codes = bytes(letters)
         if any(c > 3 for c in codes):
@@ -195,7 +194,7 @@ def parse(expr: str) -> Word:
                 opener, pos, outer, left = stack[-1]
                 if left is not None:
                     raise ParseError("unclosed '['", pos)
-                stack[-1] = (opener, pos, outer, Word._from_reduced(bytes(buf)))
+                stack[-1] = (opener, pos, outer, bytes(buf))
                 held += len(buf)
                 buf = bytearray()
             else:
@@ -236,10 +235,8 @@ def parse(expr: str) -> Word:
             group = buf
         elif n == 0:  # [u,v]^0 is e, whatever [u,v] is
             group = b""
-        elif 2 * (len(left) + len(buf)) <= MAX_LETTERS:
-            group = commutator(left, Word._from_reduced(bytes(buf))).codes
-        else:  # [u,v] may outgrow the cap: count it before it is built
-            laid = _commutator_slices(left.codes, bytes(buf))
+        else:  # count [u,v] before it is built
+            laid = _commutator_slices(left, bytes(buf))
             if sum(hi - lo for _, lo, hi in laid) > MAX_LETTERS:
                 raise ParseError(_TOO_LONG, m.start(1))
             group = b"".join(memoryview(codes)[lo:hi] for codes, lo, hi in laid)
@@ -328,8 +325,11 @@ def _commutator_slices(u: bytes, v: bytes) -> list[tuple[bytes, int, int]]:
 
 def _common_suffix(a: bytes, lo: int, hi: int, b: bytes, end: int) -> int:
     """Longest common suffix of a[lo:hi] and b[:end]; bisection, no copies."""
+    most = min(hi - lo, end)
+    if not most or a[hi - 1] != b[end - 1]:  # most seams do not cancel
+        return 0
     view = memoryview(b)
-    found, most = 0, min(hi - lo, end)
+    found = 1
     while found < most:
         mid = (found + most + 1) // 2
         if a.endswith(view[end - mid : end], lo, hi):

@@ -402,6 +402,8 @@ class TestWordBasics:
             Word("xz")
         with pytest.raises(ValueError):
             Word([7])
+        with pytest.raises(TypeError):
+            Word(5)
 
     def test_doctests(self):
         results = doctest.testmod(twosquares.words)
