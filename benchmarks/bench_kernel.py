@@ -45,6 +45,10 @@ def bench_search(data):
     return [kernel.search_square_pair(g, bound) for g, bound in data]
 
 
+def bench_enumerate(n):
+    return sum(1 for _ in kernel.words_of_length(n))
+
+
 def bench_sweep(data):
     """Criterion-8 style scan: search every short balanced word."""
     max_len, bound = data
@@ -70,6 +74,8 @@ def make_workloads(rng):
          bench_square_root,
          [kernel.mul(w, w) for w in
           (random_reduced_codes(rng, 200) for _ in range(5000))]),
+        ("words_of_length (all 236196 of length 11)",
+         bench_enumerate, 11),
         ("search miss ([x,y], bound 9)",
          bench_search, [(bytes([0, 2, 1, 3]), 9)]),
         ("sweep (|g| <= 7, bound 4)",

@@ -20,6 +20,7 @@ def reduce_word(letters):
     return bytes(out)
 
 
+# mul and square_root loop by letter: a bisection in mul slowed analyze(bound=5) by 4-28%.
 def mul(u, v):
     """Product of two reduced words; cancellation happens only at the seam."""
     i = len(u) - 1
@@ -61,27 +62,24 @@ def square_root(w):
     return w[: lo + half] + w[hi + 1 :]
 
 
+_FIRST = tuple(bytes((c,)) for c in range(4))
+_NEXT = tuple(tuple(d for d in _FIRST if d[0] != c ^ 1) for c in range(4))  # may follow c
+
+
 def words_of_length(n):
     """Yield every reduced word of length n in lexicographic letter order."""
     if n == 0:
         yield b""
         return
-    word = bytearray(n)  # x^n, the least reduced word of this length
-    while True:
-        yield bytes(word)
-        i = n - 1
-        while i >= 0:
-            c = word[i] + 1
-            if i > 0 and c == word[i - 1] ^ 1:
-                c += 1
-            if c < 4:
-                word[i] = c
-                for j in range(i + 1, n):
-                    word[j] = 1 if word[j - 1] == 1 else 0
-                break
-            i -= 1
+    stack = [b""]  # prefixes to extend, the least on top; no recursion
+    while stack:
+        prefix = stack.pop()
+        nexts = _NEXT[prefix[-1]] if prefix else _FIRST
+        if len(prefix) < n - 1:
+            stack += [prefix + c for c in reversed(nexts)]
         else:
-            return
+            for c in nexts:
+                yield prefix + c
 
 
 def search_square_pair(g, bound):

@@ -75,8 +75,7 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     if args.command == "check":
-        bound = len(word) if args.bound is None else args.bound
-        report = analyze(word, depth=args.depth, bound=bound, side=args.side)
+        report = analyze(word, depth=args.depth, bound=args.bound, side=args.side)
         if args.format == "json":
             _emit_json(report.to_json())
         else:

@@ -91,16 +91,12 @@ class Word:
         return Word._from_reduced(kernel.inv(self._letters))
 
     def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return (~self) ** (-n)
-        result = _IDENTITY
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        """w^n, laid down as s c^n s^-1 from the peel w = s c s^-1.
+
+        >>> Word("xyX") ** 3
+        Word('xy^3X')
+        """
+        return Word._from_reduced(_power(self._letters, n, _peel(self._letters)))
 
     def abelianize(self) -> tuple[int, int]:
         w = self._letters
@@ -123,9 +119,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
-
-
-_IDENTITY = Word._from_reduced(b"")
 
 
 def commutator(g: Word, h: Word) -> Word:
@@ -240,10 +233,11 @@ def parse(expr: str) -> Word:
             if sum(hi - lo for _, lo, hi in laid) > MAX_LETTERS:
                 raise ParseError(_TOO_LONG, m.start(1))
             group = b"".join(memoryview(codes)[lo:hi] for codes, lo, hi in laid)
-        if len(group) * abs(n) > MAX_LETTERS and _power_length(group, abs(n)) > MAX_LETTERS:
-            raise ParseError(_TOO_LONG, m.start(1))
-        if n != 1:
-            group = (Word._from_reduced(bytes(group)) ** n).codes
+        if n != 1:  # count w^n = s c^n s^-1 before it is built
+            p = _peel(group)
+            if 2 * p + abs(n) * (len(group) - 2 * p) > MAX_LETTERS:
+                raise ParseError(_TOO_LONG, m.start(1))
+            group = _power(group, n, p)
         if outer or group is not buf:
             _merge(outer, group)
             buf = outer
@@ -285,17 +279,24 @@ def _exponent(sign: str, digits: str, start: int) -> int:
     return -value if sign else value
 
 
-def _power_length(codes: bytes, n: int) -> int:
-    """Length of w^n, n >= 1, for the reduced word w with these codes.
+def _peel(codes: bytes) -> int:
+    """The p with w = s c s^-1, |s| = p and c cyclically reduced, for reduced w.
 
-    Peeling the p inverse letter pairs off the two ends of w leaves a
-    cyclically reduced core c with w = u c u^-1, so |w^n| = 2p + n|c|.
     The last p letters of w are the inverse of its first p, so p is the
     longest common suffix of the last half of w and w^-1.
     """
-    half = len(codes) // 2
-    p = _common_suffix(codes, len(codes) - half, len(codes), kernel.inv(codes), len(codes))
-    return 2 * p + n * (len(codes) - 2 * p)
+    n = len(codes)
+    return _common_suffix(codes, n - n // 2, n, kernel.inv(codes), n)
+
+
+def _power(codes: bytes, n: int, p: int) -> bytes:
+    """w^n = s c^n s^-1 for reduced w with peel p; c is cyclically reduced, so none cancels."""
+    if n == 0:
+        return b""
+    core = codes[p : len(codes) - p]
+    if n < 0:
+        core, n = kernel.inv(core), -n
+    return codes[:p] + core * n + codes[len(codes) - p :]
 
 
 def _commutator_slices(u: bytes, v: bytes) -> list[tuple[bytes, int, int]]:
@@ -341,10 +342,10 @@ def _common_suffix(a: bytes, lo: int, hi: int, b: bytes, end: int) -> int:
 
 def _merge(buf: bytearray, codes: bytes) -> None:
     """buf := reduce(buf + codes), for reduced buf and codes."""
-    i = 0
-    n = min(len(buf), len(codes))
-    while i < n and buf[-1 - i] == codes[i] ^ 1:
-        i += 1
-    if i:
-        del buf[-i:]
-    buf += codes[i:]
+    k = 0
+    if buf and codes and buf[-1] == codes[0] ^ 1:
+        # the inverse of codes[:k] is the end of kernel.inv(codes[:most])
+        most = min(len(buf), len(codes))
+        k = _common_suffix(buf, 0, len(buf), kernel.inv(codes[:most]), most)
+        del buf[-k:]
+    buf += codes[k:]

@@ -4,13 +4,15 @@ It follows the grammar in ``twosquares.words.parse`` one grammar rule per
 method and multiplies each term into the accumulated word, so it is
 quadratic in the input and recurses three frames per nesting level.  It
 stays here, test-only, as the oracle the streaming parser is compared
-against.  Two known defects are kept on purpose, because the streaming
+against.  A power is n copies of its atom's letters, freely reduced by
+the Word constructor, so the oracle shares no power builder with
+``parse``.  Two known defects are kept on purpose, because the streaming
 parser fixes them: a non-decimal digit such as "x^²" raises a bare
 ValueError from int(), and nesting deeper than the recursion limit raises
 RecursionError.
 """
 
-from twosquares.words import _CODE_OF, _IDENTITY, MAX_EXPONENT, ParseError, Word, commutator
+from twosquares.words import _CODE_OF, MAX_EXPONENT, ParseError, Word, commutator
 
 
 def reference_parse(expr: str) -> Word:
@@ -36,7 +38,7 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def parse_word(self, stoppers: str) -> Word:
-        result = _IDENTITY
+        result = Word()
         while True:
             ch = self.peek()
             if ch == "" or ch in stoppers:
@@ -47,7 +49,8 @@ class _Parser:
         atom = self.parse_atom()
         if self.peek() == "^":
             self.pos += 1
-            return atom ** self.parse_int()
+            n = self.parse_int()
+            return Word((atom if n >= 0 else ~atom).codes * abs(n))
         return atom
 
     def parse_atom(self) -> Word:
@@ -58,7 +61,7 @@ class _Parser:
             return Word._from_reduced(bytes([_CODE_OF[ch]]))
         if ch == "e":
             self.pos += 1
-            return _IDENTITY
+            return Word()
         if ch == "(":
             self.pos += 1
             inner = self.parse_word(stoppers=")")

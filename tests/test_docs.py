@@ -1,6 +1,8 @@
-"""README.md: its examples run as doctests, and it lists the public names."""
+"""README.md and every module's examples run as doctests; README lists the public names."""
 
 import doctest
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -13,6 +15,16 @@ def test_readme_examples():
     results = doctest.testfile(str(README), module_relative=False, encoding="utf-8")
     assert results.attempted > 0
     assert results.failed == 0
+
+
+def test_module_doctests():
+    attempted = 0
+    for info in pkgutil.iter_modules(twosquares.__path__):
+        module = importlib.import_module(f"twosquares.{info.name}")
+        results = doctest.testmod(module)
+        assert results.failed == 0, info.name
+        attempted += results.attempted
+    assert attempted >= 8  # words.py has 6 examples, laurent.py 2
 
 
 def test_public_names_listed_with_a_reason():

@@ -145,6 +145,10 @@ def test_words_of_length_exhaustive():
         assert len(want) == (1 if n == 0 else 4 * 3 ** (n - 1))
 
 
+def test_words_of_length_deeper_than_the_recursion_limit():
+    assert next(words_of_length(5000)) == bytes(5000)
+
+
 @settings(max_examples=200, deadline=None)
 @given(search_targets())
 def test_search_matches_brute_force_scan(g):
