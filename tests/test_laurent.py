@@ -1,9 +1,11 @@
 """Laurent arithmetic: ring laws, collapse, unit stripping, Taylor coefficients at 1."""
 
+import doctest
 from math import factorial
 
 import pytest
 
+import twosquares.laurent
 from twosquares import (
     Laurent1,
     Laurent2,
@@ -207,3 +209,7 @@ class TestDisplayAndJson:
         assert p.to_json() == [[-1, 0, 2], [0, 0, 1], [1, 1, -1]]
         f = Laurent1({3: 1, -1: 2})
         assert f.to_json() == [[-1, 2], [3, 1]]
+
+    def test_doctests(self):
+        results = doctest.testmod(twosquares.laurent)
+        assert results.failed == 0

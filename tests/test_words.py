@@ -1,5 +1,6 @@
 """Word-core: parsing, reduction, group operations, square roots."""
 
+import doctest
 import re
 import timeit
 import tracemalloc
@@ -431,3 +432,7 @@ class TestWordBasics:
             Word([7])
         with pytest.raises(TypeError):
             Word(5)
+
+    def test_doctests(self):
+        results = doctest.testmod(twosquares.words)
+        assert results.failed == 0
