@@ -113,7 +113,7 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "search":
-        outcome = search_with_stats(word, len(word) if args.bound is None else args.bound)
+        outcome = search_with_stats(word, args.bound)
         if args.format == "json":
             _emit_json(outcome.to_json())
         elif outcome.witness is not None:
@@ -173,10 +173,7 @@ def render_report(report: ObstructionReport) -> str:
             w = report.search.witness
             lines.append(f"witness: a = {w.a}, b = {w.b}")
         else:
-            lines.append(
-                f"search: no witness with |a| <= {report.search.bound} "
-                f"({report.search.checked} candidates checked)"
-            )
+            lines.append(f"search: {report.search.describe_miss()}")
     v = report.verdict
     if v.kind == "TwoSquares":  # Verdict guarantees the witness
         lines.append(f"verdict: TwoSquares (a = {v.witness.a}, b = {v.witness.b})")

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 from .cover import ChainPair, homology_image, lift_chain
 from .laurent import Laurent1
-from .oracle import SearchOutcome, Witness, search_with_stats
+from .oracle import SearchOutcome, Witness, _search_bound, search_with_stats
 from .words import Word, abelianize
 
 DEFAULT_DEPTH = 8
@@ -125,7 +125,6 @@ class ObstructionReport:
     factor: Optional[FactorReport]
     verdict: Verdict
     depth: int
-    bound: int
     factors: tuple[FactorReport, ...] = ()
     search: Optional[SearchOutcome] = None
 
@@ -227,10 +226,7 @@ def factor_criterion(w: Word, side: str = "P") -> FactorReport:
     side is a symmetric extension of the P-side criterion.  Raises
     InapplicableCriterionError when the chosen coefficient is zero.
     """
-    return _factor_from_chain(homology_image(w), side)
-
-
-def _factor_from_chain(chain: ChainPair, side: str) -> FactorReport:
+    chain = homology_image(w)
     if side not in ("P", "Q"):
         raise ValueError(f"side must be 'P' or 'Q', not {side!r}")
     poly = chain.P if side == "P" else chain.Q
@@ -249,17 +245,20 @@ def analyze(
 ) -> ObstructionReport:
     """Run every criterion plus the witness search and combine verdicts.
 
-    Precedence: an odd obstruction proves NotTwoSquares (the search is
-    then skipped —  it could only confirm absence); otherwise a search hit
-    gives TwoSquares with a re-verified witness; otherwise Unknown.
-    Words with nonzero exponent sums get oracle-only treatment, since the
-    obstruction theory lives on the commutator subgroup.  side selects
-    which chain coefficients feed the factor criterion: "P", "Q", "both".
+    Precedence: an odd exponent sum proves NotTwoSquares, since every
+    a^2 b^2 has even ones; then an odd obstruction proves it (the search
+    is skipped in both cases — it could only confirm absence); otherwise
+    a search hit gives TwoSquares with a re-verified witness; otherwise
+    Unknown.  The ladder and the factor criterion run only on words with
+    zero exponent sums, since the obstruction theory lives on the
+    commutator subgroup.  side selects which chain coefficients feed the
+    factor criterion: "P", "Q", "both".  The bound defaults to |w|.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if bound is None:
-        bound = len(w)
+    if side not in ("P", "Q", "both"):
+        raise ValueError(f"side must be 'P', 'Q' or 'both', not {side!r}")
+    bound = _search_bound(w, bound)
     expsums = abelianize(w)
     chain = lift_chain(w)
     f = g = first = shown_factor = None
@@ -267,17 +266,21 @@ def analyze(
     factor_reports: list[FactorReport] = []
     verdict: Optional[Verdict] = None
 
-    if expsums != (0, 0):
+    if expsums[0] % 2 or expsums[1] % 2:
+        verdict = Verdict(
+            "NotTwoSquares",
+            reason=f"exponent sums {expsums}: every a^2 b^2 has even exponent sums",
+        )
+    elif expsums != (0, 0):
         inconclusive = f"exponent sums {expsums} != (0, 0): obstruction tests do not apply"
     else:
         inconclusive = f"no odd obstruction up to depth {depth}"
         f, g, entries, first, parity = _ladder_pass(chain, depth)
-        sides = ("P", "Q") if side == "both" else (side,)
-        for s in sides:
-            try:
-                factor_reports.append(_factor_from_chain(chain, s))
-            except InapplicableCriterionError:
-                pass
+        factor_reports = [
+            FactorReport(*poly.strip_units(), side=s)
+            for s, poly in (("P", chain.P), ("Q", chain.Q))
+            if side in (s, "both") and poly
+        ]
         odd_factor = next((fr for fr in factor_reports if fr.obstructs), None)
         shown_factor = odd_factor or next(iter(factor_reports), None)
         if parity is not None:
@@ -297,13 +300,7 @@ def analyze(
         if search.witness is not None:
             verdict = Verdict("TwoSquares", witness=search.witness)
         else:
-            verdict = Verdict(
-                "Unknown",
-                reason=(
-                    f"{inconclusive}; no witness with |a| <= {bound} "
-                    f"({search.checked} candidates checked)"
-                ),
-            )
+            verdict = Verdict("Unknown", reason=f"{inconclusive}; {search.describe_miss()}")
 
     return ObstructionReport(
         word=w,
@@ -316,7 +313,6 @@ def analyze(
         factor=shown_factor,
         verdict=verdict,
         depth=depth,
-        bound=bound,
         factors=tuple(factor_reports),
         search=search,
     )

@@ -46,6 +46,9 @@ class SearchOutcome:
             "bound": self.bound,
         }
 
+    def describe_miss(self) -> str:
+        return f"no witness with |a| <= {self.bound} ({self.checked} candidates checked)"
+
 
 def enumerate_reduced(max_len: int) -> Iterator[Word]:
     """All reduced words of length <= max_len in shortlex order, each once."""
@@ -62,10 +65,16 @@ def search_two_squares(g: Word, bound: int) -> Optional[Witness]:
     return search_with_stats(g, bound).witness
 
 
-def search_with_stats(g: Word, bound: int) -> SearchOutcome:
-    """Like search_two_squares, but also reports how many a's were tried."""
-    if bound < 0:
+def _search_bound(g: Word, bound: Optional[int]) -> int:
+    """The bound to search g with: |g| when None; a negative one is refused."""
+    if bound is not None and bound < 0:
         raise ValueError("bound must be >= 0")
+    return len(g) if bound is None else bound
+
+
+def search_with_stats(g: Word, bound: Optional[int] = None) -> SearchOutcome:
+    """Like search_two_squares, but also counts the a's tried; the bound defaults to |g|."""
+    bound = _search_bound(g, bound)
     a, b, checked = kernel.search_square_pair(g.codes, bound)
     if a is None:
         return SearchOutcome(None, checked, bound)

@@ -98,10 +98,6 @@ class Word:
         """
         return Word._from_reduced(_power(self._letters, n, _peel(self._letters)))
 
-    def abelianize(self) -> tuple[int, int]:
-        w = self._letters
-        return w.count(0) - w.count(1), w.count(2) - w.count(3)
-
     def __str__(self) -> str:
         if not self._letters:
             return "e"
@@ -133,12 +129,13 @@ def conjugate(g: Word, h: Word) -> Word:
 
 def abelianize(g: Word) -> tuple[int, int]:
     """Exponent sums (of x, of y); the image in Z^2."""
-    return g.abelianize()
+    w = g.codes
+    return w.count(0) - w.count(1), w.count(2) - w.count(3)
 
 
 def in_commutator_subgroup(g: Word) -> bool:
     """True iff both exponent sums vanish."""
-    return g.abelianize() == (0, 0)
+    return abelianize(g) == (0, 0)
 
 
 def square_root(w: Word) -> Optional[Word]:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from twosquares import Laurent1, Laurent2, Word
+from twosquares import Laurent1, Laurent2, Word, abelianize
 
 
 def random_reduced(rng: random.Random, length: int) -> Word:
@@ -25,7 +25,7 @@ def random_loop(rng: random.Random, max_len: int = 12) -> Word:
     lengths = [n for n in range(4, max_len + 1, 2)]
     while True:
         w = random_reduced(rng, rng.choice(lengths))
-        if w.abelianize() == (0, 0):
+        if abelianize(w) == (0, 0):
             return w
 
 

@@ -7,6 +7,9 @@ the batch over all loop words of length <= 8 stores one digest per
 command line.  Regenerate (only for an intended output change) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which first prints every full command line and batch entry whose exit
+code or stdout changes, and how many stayed identical.
 """
 
 import contextlib
@@ -59,6 +62,8 @@ FULL_ARGVS = (
         ["ladder", "x^2Y"],
         ["chain", "--format", "json", "--trace", "xy^3"],
         ["search", "--format", "json", "x^2Y"],
+        ["check", "x^3yXY"],
+        ["check", "--format", "json", "x^3yXY"],
     ]
 )
 
@@ -123,6 +128,34 @@ def test_loop_words_batch_byte_identical():
             assert digest(*run(flags + [w])) == want, flags + [w]
 
 
+def report_changes(old: dict, new: dict) -> None:
+    """Print each full argv and batch entry that differs between corpora."""
+    before = {json.dumps(case["argv"]): case for case in old["full"]}
+    same = 0
+    for case in new["full"]:
+        key = json.dumps(case["argv"])
+        prior = before.pop(key, None)
+        if prior is None:
+            print(f"new full {key}")
+        elif (prior["exit"], prior["stdout"]) != (case["exit"], case["stdout"]):
+            print(f"changed full {key}: exit {prior['exit']} -> {case['exit']}")
+        else:
+            same += 1
+    for key in before:
+        print(f"dropped full {key}")
+    for name, digests in new["batch"].items():
+        prior = old["batch"].get(name, {})
+        for w, want in digests.items():
+            if prior.get(w) == want:
+                same += 1
+            else:
+                print(f"changed batch {name!r} {w}: {prior.get(w)} -> {want}")
+    print(f"{same} entries identical")
+
+
 if __name__ == "__main__":
-    DATA.write_text(json.dumps(generate(), indent=1, ensure_ascii=False) + "\n")
+    corpus = generate()
+    if GOLDEN is not None:
+        report_changes(GOLDEN, corpus)
+    DATA.write_text(json.dumps(corpus, indent=1, ensure_ascii=False) + "\n")
     sys.exit(0)

@@ -11,6 +11,7 @@ from twosquares import (
     abelianize,
     analyze,
     conjugate,
+    enumerate_reduced,
     factor_criterion,
     first_obstruction,
     in_commutator_subgroup,
@@ -20,6 +21,7 @@ from twosquares import (
     parse,
     phi,
     psi,
+    search_with_stats,
 )
 
 from conftest import random_loop, random_reduced
@@ -186,11 +188,48 @@ class TestAnalyze:
 
     def test_outside_commutator_subgroup(self):
         report = analyze(Word("xy"), bound=2)
-        assert report.verdict.kind == "Unknown"
+        assert report.verdict == Verdict(
+            "NotTwoSquares",
+            reason="exponent sums (1, 1): every a^2 b^2 has even exponent sums",
+        )
         assert report.expsums == (1, 1)
         assert report.f is None and report.g is None and report.ladder == []
+        assert report.search is None  # the sums settled it; no search run
+        even = analyze(parse("x^3yXY"))
+        assert even.verdict.kind == "Unknown"
+        assert even.expsums == (2, 0) and even.ladder == []
+        assert (even.search.bound, even.search.checked) == (6, 1457)
         report2 = analyze(parse("x^2"))
         assert report2.verdict.kind == "TwoSquares"
+
+    def test_odd_exponent_sum_decides_exactly(self):
+        # every reduced word of length <= 6: the sums' verdict fires on
+        # exactly the 924 words with an odd sum, none of which the search
+        # can witness at its default bound
+        odd = 0
+        for g in enumerate_reduced(6):
+            sums = abelianize(g)
+            report = analyze(g)
+            mod2 = (report.verdict.reason or "").endswith("every a^2 b^2 has even exponent sums")
+            assert mod2 == (sums[0] % 2 != 0 or sums[1] % 2 != 0), g
+            if mod2:
+                odd += 1
+                assert report.verdict.kind == "NotTwoSquares"
+                assert search_with_stats(g).witness is None, g
+        assert odd == 924
+
+    @pytest.mark.parametrize("word", ["x", "[x,y]", "[x^2,y]"])
+    @pytest.mark.parametrize(
+        "option", [{"side": "Z"}, {"bound": -1}, {"depth": 0}], ids=["side", "bound", "depth"]
+    )
+    def test_bad_arguments_refused_on_every_word(self, word, option):
+        with pytest.raises(ValueError):
+            analyze(parse(word), **option)
+
+    def test_search_bound_defaults_to_word_length(self):
+        g = parse("[x^2,y]")
+        assert analyze(g).search.bound == len(g)
+        assert search_with_stats(g).bound == len(g)
 
     def test_identity_is_trivially_two_squares(self):
         report = analyze(Word())
