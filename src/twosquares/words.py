@@ -225,11 +225,17 @@ def parse(expr: str) -> Word:
             group = buf
         elif n == 0:  # [u,v]^0 is e, whatever [u,v] is
             group = b""
-        else:  # count [u,v] before it is built
-            laid = _commutator_slices(left, bytes(buf))
-            if sum(hi - lo for _, lo, hi in laid) > MAX_LETTERS:
+        else:  # [u,v] = (uv)(vu)^-1, counted before it is built
+            uv = bytearray(left)
+            _merge(uv, buf)
+            _merge(buf, left)
+            # the seam of (uv)(vu)^-1 cancels their longest common suffix
+            k = _common_suffix(uv, 0, len(uv), buf, len(buf))
+            if len(uv) + len(buf) - 2 * k > MAX_LETTERS:
                 raise ParseError(_TOO_LONG, m.start(1))
-            group = b"".join(memoryview(codes)[lo:hi] for codes, lo, hi in laid)
+            del uv[len(uv) - k :], buf[len(buf) - k :]
+            uv += kernel.inv(buf)
+            group = uv
         if n != 1:  # count w^n = s c^n s^-1 before it is built
             p = _peel(group)
             if 2 * p + abs(n) * (len(group) - 2 * p) > MAX_LETTERS:
@@ -294,31 +300,6 @@ def _power(codes: bytes, n: int, p: int) -> bytes:
     if n < 0:
         core, n = kernel.inv(core), -n
     return codes[:p] + core * n + codes[len(codes) - p :]
-
-
-def _commutator_slices(u: bytes, v: bytes) -> list[tuple[bytes, int, int]]:
-    """The reduced u v u^-1 v^-1, for reduced u and v, as unbuilt slices.
-
-    The factors are laid down in turn as (codes, start, end) slices of u,
-    v and their inverses.  At each seam the longest suffix of the last
-    slice that is the inverse of the next factor's prefix cancels; a slice
-    that cancels whole lets the factor meet the slice before it.
-    """
-    u_inv, v_inv = kernel.inv(u), kernel.inv(v)
-    laid = []  # their concatenation is reduced
-    for w, w_inv in ((u, u_inv), (v, v_inv), (u_inv, u), (v_inv, v)):
-        start = 0  # letters of w cancelled so far
-        while start < len(w) and laid:
-            codes, lo, hi = laid.pop()
-            # the inverse of w[start:start + k] is the end of w_inv[:len(w) - start]
-            k = _common_suffix(codes, lo, hi, w_inv, len(w) - start)
-            start += k
-            if k < hi - lo:
-                laid.append((codes, lo, hi - k))
-                break
-        if start < len(w):
-            laid.append((w, start, len(w)))
-    return laid
 
 
 def _common_suffix(a: bytes, lo: int, hi: int, b: bytes, end: int) -> int:

@@ -64,6 +64,9 @@ FULL_ARGVS = (
         ["search", "--format", "json", "x^2Y"],
         ["check", "x^3yXY"],
         ["check", "--format", "json", "x^3yXY"],
+        ["search", "--bound", "2", "[x,y]"],
+        ["chain", "[y^3xY^3,y^3xyY^3]^-2"],
+        ["check", "--format", "json", "--bound", "2", "[xyX,xY^2X]^3"],
     ]
 )
 

@@ -183,23 +183,38 @@ class TestLengthCap:
 
     @pytest.mark.parametrize("expr", ["[x^524288,y^524288]", "[x^349525,y^349525]"])
     def test_commutator_counted_before_it_is_built(self, expr):
-        # building [u,v] to measure it reached tracemalloc peaks of 7.0 MB
-        # and 4.7 MB on these
+        # [u,v] is counted from the common suffix of uv and vu, before
+        # uv (vu)^-1 is built; laying its four factors down as slices
+        # peaked at 3.0 MB and 2.0 MB on these (Python 3.11)
         error, peak = parse_error_and_peak(expr)
         assert str(error) == "word longer than 1048576 letters (position 18)"
-        assert peak < 4 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
+        assert peak < 2.75 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
 
     def test_commutator_cancelling_under_the_cap_parses(self):
         # the factors add up past half the cap, the reduced value does not
-        w = parse("[y^200000xY^200000,y^200000xyY^200000]")
+        expr = "[y^200000xY^200000,y^200000xyY^200000]"
+        tracemalloc.start()
+        try:
+            w = parse(expr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert w == parse("y^200000[x,xy]Y^200000") and len(w) == 400_006
+        # laying the four factors down as slices peaked at 2.7 MB (Python 3.11)
+        assert peak < 2.5 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
         assert len(parse("[x^262144y,Yx^262143]")) == MAX_LETTERS
         with pytest.raises(ParseError) as info:
             parse("[x^262144y,Yx^262144]")
         assert info.value.position == 20
         assert parse("[x^524288,y^524288]^0") == Word()
+        # uv and vu share the suffix x^524288, and both copies of it cancel
+        w = parse("[yx^524288,x^524287]")
+        assert w == parse("yx^524287YX^524287") and len(w) == MAX_LETTERS
+        with pytest.raises(ParseError) as info:
+            parse("[yx^524287,x^524288]")
+        assert info.value.position == 19
 
-    def test_commutator_slices_match_commutator(self, rng):
+    def test_parsed_commutator_matches_commutator(self, rng):
         for i in range(500):
             u = random_reduced(rng, rng.randrange(12))
             v = random_reduced(rng, rng.randrange(12))
@@ -209,10 +224,12 @@ class TestLengthCap:
                 s = random_reduced(rng, rng.randrange(8))
                 tail = Word(u.codes[len(u) - rng.randrange(len(u) + 1):])
                 u, v = s * u * ~s, s * ~tail * v * ~s
-            want = commutator(u, v).codes
-            laid = twosquares.words._commutator_slices(u.codes, v.codes)
-            assert sum(hi - lo for _, lo, hi in laid) == len(want), (u, v)
-            assert b"".join(codes[lo:hi] for codes, lo, hi in laid) == want, (u, v)
+            want = commutator(u, v)
+            assert parse(f"[{u},{v}]") == want, (u, v)
+            for e in (-3, -1, 2, 5):
+                assert parse(f"[{u},{v}]^{e}") == want**e, (u, v, e)
+            # [u,v] v = u v u^-1 cancels at the seam of [[u,v],v]
+            assert parse(f"[[{u},{v}],{v}]") == commutator(want, v), (u, v)
 
     def test_total_cap_refuses_values_that_would_cancel(self):
         # the inner group cancels its enclosing value, but both are held
