@@ -6,6 +6,8 @@ functions assume their inputs are freely reduced unless stated otherwise,
 and always return reduced words.  ``kernel`` re-exports these names.
 """
 
+import functools
+
 BACKEND = "python"
 
 
@@ -35,8 +37,12 @@ def mul(u, v):
 _INV = bytes.maketrans(b"\x00\x01\x02\x03", b"\x01\x00\x03\x02")
 
 
-def inv(u):
-    return u.translate(_INV)[::-1]
+def inv(u, n=None):
+    """The inverse of u, or of its first n letters when n is given."""
+    if n is None:
+        n = len(u)
+    # at n = 0, u[n - 1 :: -1] would be all of u reversed
+    return u[n - 1 :: -1].translate(_INV) if n else u[:0]
 
 
 def square_root(w):
@@ -82,6 +88,27 @@ def words_of_length(n):
                 yield prefix + c
 
 
+# Levels up to this length are kept once built: 13,121 pairs, about 2 MB.
+_CACHED_LEVELS = 8
+
+
+def _with_inverse_square(a):
+    ia = inv(a)
+    return a, mul(ia, ia)
+
+
+@functools.cache  # two threads building a level at once each get an equal tuple
+def _cached_level(n):
+    return tuple(map(_with_inverse_square, words_of_length(n)))
+
+
+def _level(n):
+    """Every (a, a^-2) with |a| = n, in words_of_length order; longer levels are streamed."""
+    if n <= _CACHED_LEVELS:
+        return _cached_level(n)
+    return map(_with_inverse_square, words_of_length(n))
+
+
 def search_square_pair(g, bound):
     """Shortlex search for (a, b) with a*a*b*b == g and len(a) <= bound.
 
@@ -91,11 +118,9 @@ def search_square_pair(g, bound):
     """
     checked = 0
     for n in range(bound + 1):
-        for a in words_of_length(n):
+        for a, ia2 in _level(n):
             checked += 1
-            ia = inv(a)
-            r = mul(ia, mul(ia, g))
-            s = square_root(r)
+            s = square_root(mul(ia2, g))
             if s is not None:
                 return a, s, checked
     return None, None, checked

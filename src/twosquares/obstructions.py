@@ -178,9 +178,14 @@ def _ladder_pass(chain: ChainPair, depth: int) -> _LadderPass:
     return _LadderPass(f, g, entries, first, parity)
 
 
-def _loop_pass(w: Word, depth: int) -> _LadderPass:
+def _check_depth(depth: int) -> None:
+    """Refuse a ladder depth below 1."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+
+
+def _loop_pass(w: Word, depth: int) -> _LadderPass:
+    _check_depth(depth)
     return _ladder_pass(homology_image(w), depth)
 
 
@@ -254,8 +259,7 @@ def analyze(
     commutator subgroup.  side selects which chain coefficients feed the
     factor criterion: "P", "Q", "both".  The bound defaults to |w|.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _check_depth(depth)
     if side not in ("P", "Q", "both"):
         raise ValueError(f"side must be 'P', 'Q' or 'both', not {side!r}")
     bound = _search_bound(w, bound)

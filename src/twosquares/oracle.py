@@ -5,6 +5,11 @@ order x < x^-1 < y < y^-1) and solves for the second factor: g = a^2 b^2
 iff a^-2 g is a square, and square roots in a free group are unique and
 checkable in linear time.  The length bound applies to a only, so a miss
 means "no witness with |a| <= bound", never a proof of impossibility.
+
+The kernel draws each candidate with its a^-2 from a per-process table,
+so a candidate costs one product and one square test.  A level, all a of
+one length, is built on first use and kept up to length 8 (13,121 pairs,
+about 2 MB); longer levels are streamed and never stored.
 """
 
 from __future__ import annotations

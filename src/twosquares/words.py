@@ -322,8 +322,8 @@ def _merge(buf: bytearray, codes: bytes) -> None:
     """buf := reduce(buf + codes), for reduced buf and codes."""
     k = 0
     if buf and codes and buf[-1] == codes[0] ^ 1:
-        # the inverse of codes[:k] is the end of kernel.inv(codes[:most])
+        # the inverse of codes[:k] is the end of the inverse of codes[:most]
         most = min(len(buf), len(codes))
-        k = _common_suffix(buf, 0, len(buf), kernel.inv(codes[:most]), most)
+        k = _common_suffix(buf, 0, len(buf), kernel.inv(codes, most), most)
         del buf[-k:]
     buf += codes[k:]

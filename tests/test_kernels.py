@@ -1,23 +1,30 @@
 """The word kernel against independent definitions of its contract."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 from itertools import product
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import twosquares
 from twosquares import _kernel_py, kernel
 from twosquares.kernel import inv, mul, reduce_word, search_square_pair, square_root, words_of_length
 
-_CHARS = "xXyY"
+_TO_CHARS = bytes.maketrans(bytes(range(4)), b"xXyY")
+_TO_CODES = bytes.maketrans(b"xXyY", bytes(range(4)))
 
 
 def ref_reduce(codes):
     """Delete adjacent inverse pairs until none is left."""
-    s = "".join(_CHARS[c] for c in codes)
+    s = bytes(codes).translate(_TO_CHARS)
     while True:
-        t = s.replace("xX", "").replace("Xx", "").replace("yY", "").replace("Yy", "")
+        t = s.replace(b"xX", b"").replace(b"Xx", b"").replace(b"yY", b"").replace(b"Yy", b"")
         if t == s:
-            return bytes(_CHARS.index(ch) for ch in s)
+            return s.translate(_TO_CODES)
         s = t
 
 
@@ -119,6 +126,21 @@ def test_inv_is_an_inverse(u):
 
 
 @settings(max_examples=200, deadline=None)
+@given(words(30), st.integers(0, 30))
+def test_inv_of_a_prefix(u, n):
+    n = min(n, len(u))
+    assert inv(u, n) == ref_inv(u[:n])
+    assert inv(bytearray(u), n) == ref_inv(u[:n])
+
+
+def test_inv_of_the_empty_prefix():
+    # u[n-1::-1] is the whole of u reversed at n = 0, not the empty word
+    assert inv(b"\x00\x02", 0) == b""
+    assert inv(bytearray(b"\x00\x02"), 0) == bytearray()
+    assert inv(b"", 0) == inv(b"") == b""
+
+
+@settings(max_examples=200, deadline=None)
 @given(words(30))
 def test_square_root_of_a_square(w):
     assert square_root(mul(w, w)) == w
@@ -162,3 +184,59 @@ def test_pure_search_basics():
     assert a == bytes([0])
     assert b == bytes([2, 1, 3])
     assert checked == 2
+
+
+class TestCandidateTable:
+    """The search draws (a, a^-2) from levels kept up to length 8 and streams longer ones."""
+
+    def test_cached_levels_are_the_inverse_squares(self):
+        for n in range(_kernel_py._CACHED_LEVELS + 1):
+            want = [(a, mul(inv(a), inv(a))) for a in words_of_length(n)]
+            assert list(_kernel_py._cached_level(n)) == want, n
+
+    def test_streamed_level_matches_the_definition(self):
+        n = _kernel_py._CACHED_LEVELS + 1
+        got = _kernel_py._level(n)
+        want = ((a, mul(inv(a), inv(a))) for a in words_of_length(n))
+        assert all(x == y for x, y in zip(got, want, strict=True))
+
+    @pytest.mark.parametrize("expr, checked", [
+        ("[x,y]", 39365),  # a miss: every level, the streamed one too
+        ("[x,y]^2", 1),  # a hit at a = e
+        ("xy^4XyXyxy^4XyXyx^5Yxyx^4YxyX", 13180),  # hits at |a| = 9, past the cap
+        ("y^3x^5y^2x^5Yx^3yxYx^6yxYx^3", 13419),
+    ])
+    def test_search_across_the_cap(self, expr, checked):
+        got = search_square_pair(twosquares.parse(expr).codes, 9)
+        assert got == ref_search(twosquares.parse(expr).codes, 9)
+        assert got[2] == checked
+
+    def test_cold_and_warm_calls_agree(self):
+        targets = [twosquares.parse(e).codes for e in ("[x,y]", "[x^2,y]", "[x,y]^2")]
+        _kernel_py._cached_level.cache_clear()
+        cold = [search_square_pair(g, 6) for g in targets]
+        warm = [search_square_pair(g, 6) for g in targets]
+        assert cold == warm
+        assert [a is not None for a, _, _ in cold] == [False, True, True]
+
+    def test_import_builds_no_level(self):
+        code = ("import twosquares; from twosquares import _kernel_py; "
+                "print(_kernel_py._cached_level.cache_info().currsize)")
+        # the same package as this process, whether installed or on PYTHONPATH
+        env = {**os.environ, "PYTHONPATH": str(Path(twosquares.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out == "0\n"
+
+    def test_miss_past_the_cap_keeps_memory_bounded(self):
+        _kernel_py._cached_level.cache_clear()
+        tracemalloc.start()
+        try:
+            got = search_square_pair(bytes([0, 2, 1, 3]), 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == (None, None, 39365)
+        # levels 0..8 are kept, level 9 is streamed and dropped
+        assert _kernel_py._cached_level.cache_info().currsize == _kernel_py._CACHED_LEVELS + 1
+        assert peak < 3 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"

@@ -98,8 +98,10 @@ class TestLadder:
         assert all(e.phi_defined and e.psi_defined for e in entries)
 
     def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            ladder(parse("[x,y]"), 0)
+        # one check, one message, whichever entry point meets the depth
+        for call in (ladder, first_obstruction, parity_obstruction, analyze):
+            with pytest.raises(ValueError, match="^depth must be >= 1$"):
+                call(parse("[x,y]"), 0)
 
 
 class TestFirstObstruction:
