@@ -76,6 +76,8 @@ def make_workloads(rng):
           (random_reduced_codes(rng, 200) for _ in range(5000))]),
         ("words_of_length (all 236196 of length 11)",
          bench_enumerate, 11),
+        ("search miss ([x,y], bound 8)",
+         bench_search, [(bytes([0, 2, 1, 3]), 8)]),
         ("search miss ([x,y], bound 9)",
          bench_search, [(bytes([0, 2, 1, 3]), 9)]),
         ("sweep (|g| <= 7, bound 4)",

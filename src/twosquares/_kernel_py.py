@@ -7,6 +7,7 @@ and always return reduced words.  ``kernel`` re-exports these names.
 """
 
 import functools
+from itertools import compress
 
 BACKEND = "python"
 
@@ -109,18 +110,104 @@ def _level(n):
     return map(_with_inverse_square, words_of_length(n))
 
 
+class _Quotient:
+    """SL(2, p) as a finite quotient of the free group: x -> [[0,-1],[1,0]], y -> [[1,1],[0,1]].
+
+    Elements are numbered from 0, the identity, in the order found.
+    right[c][i] is the number of element i times letter c.  good[h] is a
+    bytes.translate table sending u to 1 if u^-2 h is a square and to 0
+    if not.  A homomorphism maps squares to squares, so if a maps to u and
+    g to h, then g = a^2 b^2 needs good[h][u] == 1.
+    """
+
+    def __init__(self, p):
+        def times(m, k):
+            a, b, c, d = m
+            e, f, g, h = k
+            return (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p
+
+        self.p = p
+        letters = ((0, p - 1, 1, 0), (0, 1, p - 1, 0), (1, 1, 0, 1), (1, p - 1, 0, 1))  # x X y Y
+        self.elements = [(1, 0, 0, 1)]
+        index = {self.elements[0]: 0}
+        for m in self.elements:  # appended to while read, until closed under the letters
+            for mk in (times(m, k) for k in letters):
+                if mk not in index:
+                    index[mk] = len(self.elements)
+                    self.elements.append(mk)
+        self.right = tuple(bytes(index[times(m, k)] for m in self.elements) for k in letters)
+        self.squares = frozenset(index[times(m, m)] for m in self.elements)
+        good = [bytearray(256) for _ in self.elements]
+        for u, m in enumerate(self.elements):
+            u2 = times(m, m)
+            for s in self.squares:  # u^-2 h is the square s iff h = u^2 s
+                good[index[times(u2, self.elements[s])]][u] = 1
+        self.good = tuple(map(bytes, good))
+
+    def fold(self, word):
+        """The number of the image of word."""
+        h = 0
+        for c in word:
+            h = self.right[c][h]
+        return h
+
+
+@functools.cache
+def _quotients():
+    """SL(2,5) and SL(2,3), 120 and 24 elements; built by the first sieved search."""
+    return _Quotient(5), _Quotient(3)
+
+
+# The sieve starts at this length: levels 0-2 hold 17 candidates, less work than folding g.
+_FIRST_SIEVED = 3
+
+
+@functools.cache
+def _cached_images(n):
+    """For each quotient, the image of each a in _cached_level(n), one byte per a.
+
+    Level n's bytes come from level n-1's by one right product per
+    candidate, extending the prefixes in words_of_length order.
+    """
+    if n == 0:
+        return tuple(b"\0" for _ in _quotients())
+    prefixes = _cached_level(n - 1)
+    return tuple(
+        bytes(q.right[c[0]][u]
+              for (a, _), u in zip(prefixes, images)
+              for c in (_NEXT[a[-1]] if a else _FIRST))
+        for q, images in zip(_quotients(), _cached_images(n - 1))
+    )
+
+
+def _survivors(n, g_images):
+    """One byte per a in _cached_level(n): nonzero unless a quotient rules that a out."""
+    sel = -1
+    for q, images, h in zip(_quotients(), _cached_images(n), g_images):
+        sel &= int.from_bytes(images.translate(q.good[h]), "little")
+    return sel.to_bytes(len(images), "little")
+
+
 def search_square_pair(g, bound):
     """Shortlex search for (a, b) with a*a*b*b == g and len(a) <= bound.
 
     Returns (a, b, checked) on a hit, else (None, None, checked), where
     checked counts the candidate a's examined.  b is the square root of
-    a^-2 g and is not length-limited.
+    a^-2 g and is not length-limited.  On the cached levels from length 3
+    on, only the a that survive every quotient's sieve are tested; the
+    others cannot be witnesses, and still count in checked.
     """
     checked = 0
+    g_images = None
     for n in range(bound + 1):
-        for a, ia2 in _level(n):
-            checked += 1
+        candidates = enumerate(_level(n))
+        if _FIRST_SIEVED <= n <= _CACHED_LEVELS:
+            if g_images is None:
+                g_images = [q.fold(g) for q in _quotients()]
+            candidates = compress(candidates, _survivors(n, g_images))
+        for i, (a, ia2) in candidates:
             s = square_root(mul(ia2, g))
             if s is not None:
-                return a, s, checked
+                return a, s, checked + i + 1
+        checked += 4 * 3 ** (n - 1) if n else 1  # the level's size, skipped candidates too
     return None, None, checked

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twosquares
-from twosquares import _kernel_py, kernel
+from twosquares import _kernel_py, analyze, enumerate_reduced, in_commutator_subgroup, kernel
 from twosquares.kernel import inv, mul, reduce_word, search_square_pair, square_root, words_of_length
 
 _TO_CHARS = bytes.maketrans(bytes(range(4)), b"xXyY")
@@ -84,11 +84,26 @@ def seam_pairs(draw):
 
 
 @st.composite
+def reduced_words(draw, min_size, max_size):
+    """A reduced word of min_size >= 1 to max_size letters; after the first, each letter
+    is drawn among the three that do not cancel."""
+    codes = [draw(st.integers(0, 3))]
+    for _ in range(draw(st.integers(min_size, max_size)) - 1):
+        c = draw(st.integers(0, 2))
+        codes.append(c + (c >= codes[-1] ^ 1))
+    return bytes(codes)
+
+
+@st.composite
 def search_targets(draw):
-    """g with |g| <= 8: a random word, or a product of two short squares."""
+    """g: a random word of length <= 8, or a^2 b^2 with 3 <= |a|, |b| <= 5.
+
+    a^2 b^2 = b^2 (b^-1 a b)^2, so a short b would give a short witness;
+    with both factors of length >= 3 most hits lie on sieved levels.
+    """
     if draw(st.booleans()):
         return draw(words(8))
-    a, b = draw(words(2)), draw(words(2))
+    a, b = draw(reduced_words(3, 5)), draw(reduced_words(3, 5))
     return ref_reduce(a + a + b + b)
 
 
@@ -174,7 +189,7 @@ def test_words_of_length_deeper_than_the_recursion_limit():
 @settings(max_examples=200, deadline=None)
 @given(search_targets())
 def test_search_matches_brute_force_scan(g):
-    assert search_square_pair(g, 3) == ref_search(g, 3)
+    assert search_square_pair(g, 5) == ref_search(g, 5)
 
 
 def test_pure_search_basics():
@@ -184,6 +199,11 @@ def test_pure_search_basics():
     assert a == bytes([0])
     assert b == bytes([2, 1, 3])
     assert checked == 2
+
+
+def clear_search_caches():
+    for cached in (_kernel_py._cached_level, _kernel_py._quotients, _kernel_py._cached_images):
+        cached.cache_clear()
 
 
 class TestCandidateTable:
@@ -213,23 +233,24 @@ class TestCandidateTable:
 
     def test_cold_and_warm_calls_agree(self):
         targets = [twosquares.parse(e).codes for e in ("[x,y]", "[x^2,y]", "[x,y]^2")]
-        _kernel_py._cached_level.cache_clear()
+        clear_search_caches()
         cold = [search_square_pair(g, 6) for g in targets]
         warm = [search_square_pair(g, 6) for g in targets]
         assert cold == warm
         assert [a is not None for a, _, _ in cold] == [False, True, True]
 
     def test_import_builds_no_level(self):
-        code = ("import twosquares; from twosquares import _kernel_py; "
-                "print(_kernel_py._cached_level.cache_info().currsize)")
+        code = ("import twosquares; from twosquares import _kernel_py as k; "
+                "print([f.cache_info().currsize for f in "
+                "(k._cached_level, k._quotients, k._cached_images)])")
         # the same package as this process, whether installed or on PYTHONPATH
         env = {**os.environ, "PYTHONPATH": str(Path(twosquares.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True).stdout
-        assert out == "0\n"
+        assert out == "[0, 0, 0]\n"
 
     def test_miss_past_the_cap_keeps_memory_bounded(self):
-        _kernel_py._cached_level.cache_clear()
+        clear_search_caches()
         tracemalloc.start()
         try:
             got = search_square_pair(bytes([0, 2, 1, 3]), 9)
@@ -237,6 +258,82 @@ class TestCandidateTable:
         finally:
             tracemalloc.stop()
         assert got == (None, None, 39365)
-        # levels 0..8 are kept, level 9 is streamed and dropped
+        # levels 0..8 and their images are kept, level 9 is streamed unsieved and dropped
         assert _kernel_py._cached_level.cache_info().currsize == _kernel_py._CACHED_LEVELS + 1
+        assert _kernel_py._cached_images.cache_info().currsize == _kernel_py._CACHED_LEVELS + 1
         assert peak < 3 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
+
+
+def mat_mul(m, k, p):
+    (a, b, c, d), (e, f, g, h) = m, k
+    return (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p
+
+
+def mat_inv(m, p):
+    a, b, c, d = m
+    return d, -b % p, -c % p, a
+
+
+def image(q, codes):
+    """The matrix of a word in q, from the letter images alone."""
+    p = q.p
+    letters = {0: (0, p - 1, 1, 0), 2: (1, 1, 0, 1)}
+    m = (1, 0, 0, 1)
+    for c in codes:
+        k = letters[c & 2]
+        m = mat_mul(m, k if c % 2 == 0 else mat_inv(k, p), p)
+    return m
+
+
+class TestQuotientSieve:
+    """From length 3 to 8 the search tests only the a whose a^-2 g is a square in SL(2,5) and SL(2,3)."""
+
+    def test_quotient_sizes(self):
+        assert [(q.p, len(q.elements), len(q.squares)) for q in _kernel_py._quotients()] == [
+            (5, 120, 46), (3, 24, 10)]
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_good_keeps_every_witness_image(self, which):
+        # the sieve's lemma: if h = u^2 v^2 then u^-2 h is a square, so u survives
+        q = _kernel_py._quotients()[which]
+        number = {m: i for i, m in enumerate(q.elements)}
+        kept = set()
+        for u, mu in enumerate(q.elements):
+            u2 = mat_mul(mu, mu, q.p)
+            for mv in q.elements:
+                h = number[mat_mul(u2, mat_mul(mv, mv, q.p), q.p)]
+                assert q.good[h][u] == 1, (u, h)
+                kept.add((h, u))
+        # and nothing else is kept
+        assert sum(map(sum, q.good)) == len(kept)
+
+    def test_letter_images_are_a_homomorphism(self):
+        short = reduced_up_to(3)
+        for q in _kernel_py._quotients():
+            assert all(q.elements[q.fold(u)] == image(q, u) for u in short)
+            for u in short:
+                mu = q.elements[q.fold(u)]
+                assert q.elements[q.fold(inv(u))] == mat_inv(mu, q.p)
+                for v in short:
+                    assert q.elements[q.fold(mul(u, v))] == mat_mul(mu, q.elements[q.fold(v)], q.p)
+
+    def test_cached_images_are_the_folds(self):
+        for n in range(_kernel_py._CACHED_LEVELS + 1):
+            level = _kernel_py._cached_level(n)
+            for q, images in zip(_kernel_py._quotients(), _kernel_py._cached_images(n)):
+                assert images == bytes(q.fold(a) for a, _ in level), (q.p, n)
+
+    def test_sieve_rejects_most_candidates_of_the_unknown_loop_words(self):
+        unknown = [g.codes for g in enumerate_reduced(10)
+                   if len(g) == 10 and in_commutator_subgroup(g)
+                   and analyze(g, bound=5).verdict.kind == "Unknown"]
+        assert len(unknown) == 240
+        kept = total = 0
+        for g in unknown:
+            g_images = [q.fold(g) for q in _kernel_py._quotients()]
+            for n in range(_kernel_py._FIRST_SIEVED, 6):
+                sel = _kernel_py._survivors(n, g_images)
+                kept += len(sel) - sel.count(0)
+                total += len(sel)
+        assert total == 240 * (36 + 108 + 324)
+        assert kept <= 0.25 * total, f"{kept} of {total} candidates survive"
