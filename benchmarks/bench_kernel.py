@@ -80,6 +80,11 @@ def make_workloads(rng):
          bench_search, [(bytes([0, 2, 1, 3]), 8)]),
         ("search miss ([x,y], bound 9)",
          bench_search, [(bytes([0, 2, 1, 3]), 9)]),
+        # the sieve starts at length 5 for these, and is not used for the longer ones
+        ("search miss (5 x len 2000, bound 5)",
+         bench_search, [(random_reduced_codes(rng, 2000), 5) for _ in range(5)]),
+        ("search miss (5 x len 40000, bound 5)",
+         bench_search, [(random_reduced_codes(rng, 40000), 5) for _ in range(5)]),
         ("sweep (|g| <= 7, bound 4)",
          bench_sweep, (7, 4)),
     ]

@@ -158,26 +158,21 @@ def _quotients():
     return _Quotient(5), _Quotient(3)
 
 
-# The sieve starts at this length: levels 0-2 hold 17 candidates, less work than folding g.
+# The sieve starts at length 3 at the earliest: levels 0-2 hold 17 candidates, and a
+# search that stops there builds no table.
 _FIRST_SIEVED = 3
+# Folding g into both quotients takes about 95 ns a letter; the sieve skips about 78% of a
+# level's candidates, each costing 1.2-5 us to test (|g| from 10 to 40k letters).  So a
+# level is sieved once it holds at least len(g) / 16 candidates, where its saving alone
+# pays for the fold: every level from 3 on for |g| <= 576, none up to length 6 for 40k.
+_LETTERS_PER_CANDIDATE = 16
 
 
 @functools.cache
 def _cached_images(n):
-    """For each quotient, the image of each a in _cached_level(n), one byte per a.
-
-    Level n's bytes come from level n-1's by one right product per
-    candidate, extending the prefixes in words_of_length order.
-    """
-    if n == 0:
-        return tuple(b"\0" for _ in _quotients())
-    prefixes = _cached_level(n - 1)
-    return tuple(
-        bytes(q.right[c[0]][u]
-              for (a, _), u in zip(prefixes, images)
-              for c in (_NEXT[a[-1]] if a else _FIRST))
-        for q, images in zip(_quotients(), _cached_images(n - 1))
-    )
+    """For each quotient, the image of each a in _cached_level(n), one byte per a."""
+    level = _cached_level(n)
+    return tuple(bytes(q.fold(a) for a, _ in level) for q in _quotients())
 
 
 def _survivors(n, g_images):
@@ -193,15 +188,17 @@ def search_square_pair(g, bound):
 
     Returns (a, b, checked) on a hit, else (None, None, checked), where
     checked counts the candidate a's examined.  b is the square root of
-    a^-2 g and is not length-limited.  On the cached levels from length 3
-    on, only the a that survive every quotient's sieve are tested; the
-    others cannot be witnesses, and still count in checked.
+    a^-2 g and is not length-limited.  On a cached level from length 3 on
+    that holds at least len(g) / 16 candidates, only the a that survive
+    every quotient's sieve are tested; the others cannot be witnesses, and
+    still count in checked.
     """
     checked = 0
     g_images = None
     for n in range(bound + 1):
+        size = 4 * 3 ** (n - 1) if n else 1
         candidates = enumerate(_level(n))
-        if _FIRST_SIEVED <= n <= _CACHED_LEVELS:
+        if _FIRST_SIEVED <= n <= _CACHED_LEVELS and size * _LETTERS_PER_CANDIDATE >= len(g):
             if g_images is None:
                 g_images = [q.fold(g) for q in _quotients()]
             candidates = compress(candidates, _survivors(n, g_images))
@@ -209,5 +206,5 @@ def search_square_pair(g, bound):
             s = square_root(mul(ia2, g))
             if s is not None:
                 return a, s, checked + i + 1
-        checked += 4 * 3 ** (n - 1) if n else 1  # the level's size, skipped candidates too
+        checked += size  # skipped candidates too
     return None, None, checked

@@ -1,6 +1,7 @@
 """The word kernel against independent definitions of its contract."""
 
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -83,27 +84,21 @@ def seam_pairs(draw):
     return u, v
 
 
-@st.composite
-def reduced_words(draw, min_size, max_size):
-    """A reduced word of min_size >= 1 to max_size letters; after the first, each letter
-    is drawn among the three that do not cancel."""
-    codes = [draw(st.integers(0, 3))]
-    for _ in range(draw(st.integers(min_size, max_size)) - 1):
-        c = draw(st.integers(0, 2))
-        codes.append(c + (c >= codes[-1] ^ 1))
-    return bytes(codes)
+_SHORT_FACTORS = reduced_up_to(2)
+_LONG_FACTORS = [w for w in reduced_up_to(5) if len(w) >= 3]
 
 
 @st.composite
 def search_targets(draw):
-    """g: a random word of length <= 8, or a^2 b^2 with 3 <= |a|, |b| <= 5.
+    """g: a random word of length <= 8, or a^2 b^2 with |a|, |b| <= 2 or 3 <= |a|, |b| <= 5.
 
-    a^2 b^2 = b^2 (b^-1 a b)^2, so a short b would give a short witness;
-    with both factors of length >= 3 most hits lie on sieved levels.
+    a^2 b^2 = b^2 (b^-1 a b)^2, so a short b gives a short witness: short
+    factors hit on the unsieved levels 0-2, longer ones mostly on sieved levels.
     """
-    if draw(st.booleans()):
+    factors = draw(st.sampled_from([None, _SHORT_FACTORS, _LONG_FACTORS]))
+    if factors is None:
         return draw(words(8))
-    a, b = draw(reduced_words(3, 5)), draw(reduced_words(3, 5))
+    a, b = draw(st.sampled_from(factors)), draw(st.sampled_from(factors))
     return ref_reduce(a + a + b + b)
 
 
@@ -258,9 +253,10 @@ class TestCandidateTable:
         finally:
             tracemalloc.stop()
         assert got == (None, None, 39365)
-        # levels 0..8 and their images are kept, level 9 is streamed unsieved and dropped
+        # levels 0..8 and the images of 3..8 are kept, level 9 is streamed unsieved and dropped
         assert _kernel_py._cached_level.cache_info().currsize == _kernel_py._CACHED_LEVELS + 1
-        assert _kernel_py._cached_images.cache_info().currsize == _kernel_py._CACHED_LEVELS + 1
+        assert _kernel_py._cached_images.cache_info().currsize == (
+            _kernel_py._CACHED_LEVELS + 1 - _kernel_py._FIRST_SIEVED)
         assert peak < 3 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
 
 
@@ -317,11 +313,19 @@ class TestQuotientSieve:
                 for v in short:
                     assert q.elements[q.fold(mul(u, v))] == mat_mul(mu, q.elements[q.fold(v)], q.p)
 
-    def test_cached_images_are_the_folds(self):
-        for n in range(_kernel_py._CACHED_LEVELS + 1):
-            level = _kernel_py._cached_level(n)
-            for q, images in zip(_kernel_py._quotients(), _kernel_py._cached_images(n)):
-                assert images == bytes(q.fold(a) for a, _ in level), (q.p, n)
+    @pytest.mark.parametrize("letters_per_candidate", [0, 10**9])
+    def test_where_the_sieve_starts_changes_no_result(self, monkeypatch, letters_per_candidate):
+        # 0 sieves no level and 10**9 every level from length 3 on; by default the
+        # a^2 b^2 of about 720 letters test length 3 unsieved and sieve from length 4 on
+        rng = random.Random(11)
+        b = ref_reduce(bytes(rng.randrange(4) for _ in range(700)))
+        a_s = [level[len(level) // 2] for level in (list(words_of_length(n)) for n in (3, 4, 5))]
+        targets = [mul(mul(a, a), mul(b, b)) for a in a_s] + [b]
+        default = [search_square_pair(g, 5) for g in targets]
+        assert [a for a, _, _ in default] == a_s + [None]
+        assert default[-1][2] == 485
+        monkeypatch.setattr(_kernel_py, "_LETTERS_PER_CANDIDATE", letters_per_candidate)
+        assert [search_square_pair(g, 5) for g in targets] == default
 
     def test_sieve_rejects_most_candidates_of_the_unknown_loop_words(self):
         unknown = [g.codes for g in enumerate_reduced(10)
