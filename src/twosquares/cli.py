@@ -89,7 +89,7 @@ def run(args: argparse.Namespace) -> int:
             print(f"twosquares: error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if args.format == "json":
-            _emit_json([e.to_json() for e in entries])
+            _emit_json([e._asdict() for e in entries])
         else:
             print(f"word: {word}")
             for e in entries:
@@ -123,10 +123,7 @@ def run(args: argparse.Namespace) -> int:
                 f"(checked {outcome.checked} candidates, bound {outcome.bound})"
             )
         else:
-            print(
-                f"inconclusive at bound {outcome.bound}: no witness with "
-                f"|a| <= {outcome.bound} (checked {outcome.checked} candidates)"
-            )
+            print(f"inconclusive at bound {outcome.bound}: {outcome.describe_miss()}")
         return EXIT_OK
 
     raise ValueError(f"unknown command {args.command!r}")

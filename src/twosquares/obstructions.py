@@ -43,8 +43,7 @@ class FirstObstruction(NamedTuple):
         return f"{self.side}_{self.k} = {self.value}"
 
 
-@dataclass(frozen=True)
-class LadderEntry:
+class LadderEntry(NamedTuple):
     """Raw ladder values at depth k.
 
     phi_defined / psi_defined flag whether all earlier values vanish;
@@ -57,18 +56,8 @@ class LadderEntry:
     phi_defined: bool
     psi_defined: bool
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "phi": self.phi,
-            "psi": self.psi,
-            "phi_defined": self.phi_defined,
-            "psi_defined": self.psi_defined,
-        }
 
-
-@dataclass(frozen=True)
-class FactorReport:
+class FactorReport(NamedTuple):
     """Unit-stripping data: source = (x-1)^k (y-1)^l h with h(1,1) = h11."""
 
     k: int
@@ -81,13 +70,7 @@ class FactorReport:
         return self.h11 % 2 != 0
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "l": self.l,
-            "h11": self.h11,
-            "side": self.side,
-            "paper_stated": self.side == "P",
-        }
+        return {**self._asdict(), "paper_stated": self.side == "P"}
 
 
 @dataclass(frozen=True)
@@ -122,7 +105,6 @@ class ObstructionReport:
     g: Optional[Laurent1]
     ladder: list[LadderEntry]
     first_obstruction: Optional[FirstObstruction]
-    factor: Optional[FactorReport]
     verdict: Verdict
     depth: int
     factors: tuple[FactorReport, ...] = ()
@@ -137,11 +119,9 @@ class ObstructionReport:
             "Q": self.chain.Q.to_json(),
             "f": None if self.f is None else self.f.to_json(),
             "g": None if self.g is None else self.g.to_json(),
-            "ladder": [entry.to_json() for entry in self.ladder],
-            "first_obstruction": None
-            if first is None
-            else {"k": first.k, "value": first.value, "side": first.side},
-            "factor": None if self.factor is None else self.factor.to_json(),
+            "ladder": [entry._asdict() for entry in self.ladder],
+            "first_obstruction": None if first is None else first._asdict(),
+            "factor": self.factors[0].to_json() if self.factors else None,
             "verdict": self.verdict.to_json(),
         }
 
@@ -223,23 +203,39 @@ def parity_obstruction(w: Word, depth: int = DEFAULT_DEPTH) -> Optional[FirstObs
     return _loop_pass(w, depth).parity
 
 
+def _factor_reports(chain: ChainPair, side: str) -> tuple[FactorReport, ...]:
+    """The factor criterion on the sides that side selects, P first.
+
+    A loop's chain is a cycle, P(x-1) + Q(y-1) = 0, so P = (y-1) R and
+    Q = -(x-1) R for one R: Q is zero iff P is, and when P strips to
+    (k, l, h11), Q strips to (k+1, l-1, -h11).  P is stripped once and
+    Q's report is read off it, so either side obstructs iff both do.
+    """
+    if not chain.P:
+        return ()
+    k, l, h11 = chain.P.strip_units()
+    both = (FactorReport(k, l, h11, "P"), FactorReport(k + 1, l - 1, -h11, "Q"))
+    return tuple(fr for fr in both if side in (fr.side, "both"))
+
+
 def factor_criterion(w: Word, side: str = "P") -> FactorReport:
     """Strip maximal unit factors from the chosen chain coefficient.
 
     Writes P (or Q) as (x-1)^k (y-1)^l h with h divisible by neither unit
     factor; h(1,1) odd proves w is not a product of two squares.  The Q
-    side is a symmetric extension of the P-side criterion.  Raises
+    side restates the P side: Q = -(x-1) R where P = (y-1) R, so Q strips
+    to (k+1, l-1) with the same h(1,1) up to sign.  Raises
     InapplicableCriterionError when the chosen coefficient is zero.
     """
     chain = homology_image(w)
     if side not in ("P", "Q"):
         raise ValueError(f"side must be 'P' or 'Q', not {side!r}")
-    poly = chain.P if side == "P" else chain.Q
-    if not poly:
+    reports = _factor_reports(chain, side)
+    if not reports:
         raise InapplicableCriterionError(
             f"factor criterion inapplicable: {side} is the zero polynomial"
         )
-    return FactorReport(*poly.strip_units(), side=side)
+    return reports[0]
 
 
 def analyze(
@@ -256,8 +252,10 @@ def analyze(
     a search hit gives TwoSquares with a re-verified witness; otherwise
     Unknown.  The ladder and the factor criterion run only on words with
     zero exponent sums, since the obstruction theory lives on the
-    commutator subgroup.  side selects which chain coefficients feed the
-    factor criterion: "P", "Q", "both".  The bound defaults to |w|.
+    commutator subgroup.  side selects which of the factor criterion's
+    reports are kept: "P", "Q", "both".  The Q side restates the P side
+    (same h(1,1) up to sign), so side never changes the verdict kind.
+    The bound defaults to |w|.
     """
     _check_depth(depth)
     if side not in ("P", "Q", "both"):
@@ -265,9 +263,9 @@ def analyze(
     bound = _search_bound(w, bound)
     expsums = abelianize(w)
     chain = lift_chain(w)
-    f = g = first = shown_factor = None
+    f = g = first = None
     entries: list[LadderEntry] = []
-    factor_reports: list[FactorReport] = []
+    factors: tuple[FactorReport, ...] = ()
     verdict: Optional[Verdict] = None
 
     if expsums[0] % 2 or expsums[1] % 2:
@@ -280,22 +278,13 @@ def analyze(
     else:
         inconclusive = f"no odd obstruction up to depth {depth}"
         f, g, entries, first, parity = _ladder_pass(chain, depth)
-        factor_reports = [
-            FactorReport(*poly.strip_units(), side=s)
-            for s, poly in (("P", chain.P), ("Q", chain.Q))
-            if side in (s, "both") and poly
-        ]
-        odd_factor = next((fr for fr in factor_reports if fr.obstructs), None)
-        shown_factor = odd_factor or next(iter(factor_reports), None)
+        factors = _factor_reports(chain, side)
         if parity is not None:
             verdict = Verdict("NotTwoSquares", reason=f"{parity.describe()} is odd")
-        elif odd_factor is not None:
+        elif factors and factors[0].obstructs:
             verdict = Verdict(
                 "NotTwoSquares",
-                reason=(
-                    f"factor criterion on {odd_factor.side}: "
-                    f"h(1,1) = {odd_factor.h11} is odd"
-                ),
+                reason=f"factor criterion on {factors[0].side}: h(1,1) = {factors[0].h11} is odd",
             )
 
     search: Optional[SearchOutcome] = None
@@ -314,9 +303,8 @@ def analyze(
         g=g,
         ladder=entries,
         first_obstruction=first,
-        factor=shown_factor,
         verdict=verdict,
         depth=depth,
-        factors=tuple(factor_reports),
+        factors=factors,
         search=search,
     )

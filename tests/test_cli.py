@@ -106,7 +106,7 @@ class TestSearch:
     def test_inconclusive_wording(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--bound", "2", "[x,y]")
         assert code == EXIT_OK
-        assert "inconclusive at bound 2" in out
+        assert out == "inconclusive at bound 2: no witness with |a| <= 2 (17 candidates checked)\n"
 
     def test_json(self, capsys):
         _, out, _ = run_cli(capsys, "search", "--format", "json", "--bound", "3", "[x^2,y]")

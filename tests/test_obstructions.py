@@ -1,10 +1,13 @@
 """Obstruction ladder, factor criterion, and the combined analyzer."""
 
+import random
+
 import pytest
 
 from twosquares import (
     InapplicableCriterionError,
     Laurent1,
+    Laurent2,
     NotALoopError,
     Verdict,
     Word,
@@ -166,6 +169,56 @@ class TestFactorCriterion:
     def test_bad_side(self):
         with pytest.raises(ValueError):
             factor_criterion(parse("[x,y]"), side="R")
+
+
+class TestCycleLaw:
+    """A loop's chain is a cycle, P(x-1) + Q(y-1) = 0, so Q's factor
+    report is read off P's: (k, l, h11) on P gives (k+1, l-1, -h11) on Q."""
+
+    @staticmethod
+    def loop_words():
+        yield from (g for g in enumerate_reduced(10) if in_commutator_subgroup(g))
+        for m, n in ((1, 1), (2, 3), (3, 3), (4, 1), (5, 2), (6, 4)):
+            yield conjugate(parse(f"[x^{m},y^{n}]"), parse("yxY^2x"))
+        rng = random.Random(12)
+        u, v = random_reduced(rng, 250), random_reduced(rng, 250)
+        yield u * v * ~u * ~v  # about 1000 letters
+
+    def test_q_report_is_derived_from_p(self):
+        longest = 0
+        for g in self.loop_words():
+            longest = max(longest, len(g))
+            chain = lift_chain(g)
+            assert bool(chain.P) == bool(chain.Q), g
+            reports = analyze(g, bound=0, side="both").factors
+            if chain.P:
+                assert [fr[:3] for fr in reports] == [
+                    chain.P.strip_units(),
+                    chain.Q.strip_units(),
+                ], g
+                assert factor_criterion(g, "Q") == reports[1]
+            else:
+                assert reports == ()
+                with pytest.raises(InapplicableCriterionError):
+                    factor_criterion(g, "Q")
+            kinds = {analyze(g, bound=0, side=s).verdict.kind for s in ("P", "Q", "both")}
+            assert len(kinds) == 1, g
+        assert longest >= 900
+
+    def test_one_strip_per_report(self, monkeypatch):
+        calls = []
+        strip_units = Laurent2.strip_units
+
+        def counted(poly):
+            calls.append(poly)
+            return strip_units(poly)
+
+        monkeypatch.setattr(Laurent2, "strip_units", counted)
+        for g in (parse("[x,y]"), parse("[x^2,y]"), parse("[x,y]^2"), all_vanishing_word()):
+            for side in ("P", "Q", "both"):
+                calls.clear()
+                analyze(g, bound=0, side=side)
+                assert len(calls) == 1, (g, side)
 
 
 class TestAnalyze:
