@@ -45,7 +45,6 @@ from .oracle import (
     SearchOutcome,
     Witness,
     enumerate_reduced,
-    search_two_squares,
     search_with_stats,
 )
 
@@ -85,7 +84,6 @@ __all__ = [
     "SearchOutcome",
     "Witness",
     "enumerate_reduced",
-    "search_two_squares",
     "search_with_stats",
     "__version__",
 ]

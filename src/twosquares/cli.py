@@ -145,7 +145,7 @@ def render_report(report: ObstructionReport) -> str:
     else:
         lines.append(f"f(y) = P(1,y) = {report.f.to_str('y')}")
         lines.append(f"g(x) = Q(x,1) = {report.g.to_str('x')}")
-        lines.append(f"ladder (depth {report.depth}):")
+        lines.append(f"ladder (depth {len(report.ladder)}):")
         lines.extend(_ladder_line(e) for e in report.ladder)
         if not report.f:
             lines.append("f = 0 identically: every phi_k vanishes")
@@ -154,7 +154,7 @@ def render_report(report: ObstructionReport) -> str:
         if report.first_obstruction is not None:
             lines.append(f"first obstruction: {report.first_obstruction.describe()}")
         else:
-            lines.append(f"first obstruction: none up to depth {report.depth}")
+            lines.append(f"first obstruction: none up to depth {len(report.ladder)}")
         if report.factors:
             for fr in report.factors:
                 derived = "" if fr.side == "P" else " [derived extension]"

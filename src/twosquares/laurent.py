@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import chain
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 
 def _collect(pairs: Iterable[tuple]) -> dict:
@@ -67,19 +67,13 @@ class _Sparse:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: Union["_Sparse", int]):
-        if isinstance(other, int):
-            if other == 0:
-                return self.zero()
-            return self._raw({e: c * other for e, c in self._terms.items()})
+    def __mul__(self, other):
         add = self._add_exp
         return self._raw(_collect(
             (add(e1, e2), c1 * c2)
             for e1, c1 in self._terms.items()
             for e2, c2 in other._terms.items()
         ))
-
-    __rmul__ = __mul__
 
 
 class Laurent1(_Sparse):

@@ -106,7 +106,6 @@ class ObstructionReport:
     ladder: list[LadderEntry]
     first_obstruction: Optional[FirstObstruction]
     verdict: Verdict
-    depth: int
     factors: tuple[FactorReport, ...] = ()
     search: Optional[SearchOutcome] = None
 
@@ -227,9 +226,9 @@ def factor_criterion(w: Word, side: str = "P") -> FactorReport:
     to (k+1, l-1) with the same h(1,1) up to sign.  Raises
     InapplicableCriterionError when the chosen coefficient is zero.
     """
-    chain = homology_image(w)
     if side not in ("P", "Q"):
         raise ValueError(f"side must be 'P' or 'Q', not {side!r}")
+    chain = homology_image(w)
     reports = _factor_reports(chain, side)
     if not reports:
         raise InapplicableCriterionError(
@@ -304,7 +303,6 @@ def analyze(
         ladder=entries,
         first_obstruction=first,
         verdict=verdict,
-        depth=depth,
         factors=factors,
         search=search,
     )

@@ -69,14 +69,6 @@ def enumerate_reduced(max_len: int) -> Iterator[Word]:
             yield Word._from_reduced(data)
 
 
-def search_two_squares(g: Word, bound: int) -> Optional[Witness]:
-    """Shortlex-least witness g = a^2 b^2 with |a| <= bound, or None.
-
-    None is inconclusive: it rules out witnesses with |a| <= bound only.
-    """
-    return search_with_stats(g, bound).witness
-
-
 def _search_bound(g: Word, bound: Optional[int]) -> int:
     """The bound to search g with: |g| when None; a negative one is refused."""
     if bound is not None and bound < 0:
@@ -85,7 +77,11 @@ def _search_bound(g: Word, bound: Optional[int]) -> int:
 
 
 def search_with_stats(g: Word, bound: Optional[int] = None) -> SearchOutcome:
-    """Like search_two_squares, but also counts the a's tried; the bound defaults to |g|."""
+    """The shortlex-least witness g = a^2 b^2 with |a| <= bound, and the a's tried.
+
+    The bound defaults to |g|.  No witness is inconclusive: it rules out
+    witnesses with |a| <= bound only.
+    """
     bound = _search_bound(g, bound)
     a, b, checked = kernel.search_square_pair(g.codes, bound)
     if a is None:

@@ -29,7 +29,7 @@ from twosquares import (
     parse,
     phi,
     psi,
-    search_two_squares,
+    search_with_stats,
     square_root,
 )
 from twosquares.laurent import Laurent1
@@ -193,7 +193,7 @@ def test_criterion_8_oracle_obstruction_consistency():
         for g in enumerate_reduced(8):
             if not in_commutator_subgroup(g):
                 continue
-            witness = search_two_squares(g, 4)
+            witness = search_with_stats(g, 4).witness
             if witness is None:
                 continue
             assert witness.product() == g

@@ -169,6 +169,10 @@ class TestFactorCriterion:
     def test_bad_side(self):
         with pytest.raises(ValueError):
             factor_criterion(parse("[x,y]"), side="R")
+        # side is refused before the word is lifted, so a non-loop gets
+        # the side message, not NotALoopError
+        with pytest.raises(ValueError, match="side must be"):
+            factor_criterion(parse("x"), side="R")
 
 
 class TestCycleLaw:

@@ -11,7 +11,6 @@ from twosquares import (
     in_commutator_subgroup,
     parity_obstruction,
     parse,
-    search_two_squares,
     search_with_stats,
 )
 
@@ -42,16 +41,16 @@ class TestEnumeration:
 
 class TestSearch:
     def test_even_commutator(self):
-        w = search_two_squares(parse("[x^2,y]"), 3)
+        w = search_with_stats(parse("[x^2,y]"), 3).witness
         assert w is not None
         assert (w.a, w.b) == (Word("x"), Word("yXY"))
         assert w.product() == parse("[x^2,y]")
 
     def test_odd_commutator_never_found(self):
-        assert search_two_squares(parse("[x,y]"), 5) is None
+        assert search_with_stats(parse("[x,y]"), 5).witness is None
 
     def test_empty_word(self):
-        w = search_two_squares(Word(), 0)
+        w = search_with_stats(Word(), 0).witness
         assert w is not None and w.a == Word() and w.b == Word()
 
     def test_stats(self):
@@ -75,7 +74,7 @@ class TestSearch:
             a = random_reduced(rng, rng.randrange(4))
             b = random_reduced(rng, rng.randrange(6))
             g = a * a * b * b
-            w = search_two_squares(g, len(a))
+            w = search_with_stats(g, len(a)).witness
             assert w is not None
             assert w.product() == g
 
@@ -87,7 +86,7 @@ class TestSearch:
 
     def test_shortlex_least_witness(self):
         # x^4: both e (root x^2) and the least candidate; a must be e
-        w = search_two_squares(parse("x^4"), 3)
+        w = search_with_stats(parse("x^4"), 3).witness
         assert w.a == Word()
         assert w.b == parse("x^2")
 
@@ -98,7 +97,7 @@ class TestCrossValidation:
         for g in enumerate_reduced(6):
             if not in_commutator_subgroup(g):
                 continue
-            if search_two_squares(g, 4) is None:
+            if search_with_stats(g, 4).witness is None:
                 continue
             assert parity_obstruction(g, 8) is None
             try:

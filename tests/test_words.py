@@ -139,6 +139,9 @@ class TestLengthCap:
         ("(xy)^524289", 3),
         ("[x^1048577,y]", 1),
         ("x^4611686018427387904", 0),
+        # a run that cancels the letter before it, longer than the cap
+        ("x^2X^1048577", 3),
+        ("xX^4611686018427387904", 1),
     ])
     def test_refused_before_allocation(self, expr, position):
         error, peak = parse_error_and_peak(expr)
@@ -162,6 +165,7 @@ class TestLengthCap:
         with pytest.raises(ParseError) as info:
             parse("x^1048576 x")
         assert info.value.position == 10
+        # refused at ')' by the count of letters held for open groups
         with pytest.raises(ParseError) as info:
             parse("x^1048576(y)")
         assert info.value.position == 11
@@ -169,6 +173,13 @@ class TestLengthCap:
         with pytest.raises(ParseError) as info:
             parse("y^1048575Xx^3")
         assert info.value.position == 10
+        # a group under the cap that its merge into the outer value
+        # takes past it
+        for expr, position in [("x^1000000(y)^100000", 11),
+                               ("x^900000[y^100000,x^40000]", 25)]:
+            with pytest.raises(ParseError) as info:
+                parse(expr)
+            assert info.value.position == position
 
     @pytest.mark.parametrize("expr, position", [
         ("x^1048576(" * 20, 19),
