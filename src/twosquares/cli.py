@@ -4,13 +4,16 @@ Subcommands: check (full analysis and verdict), ladder (obstruction
 values), chain (grid-lift coefficients, optionally with the lattice
 trace), search (witness search only).  Exit codes: 0 when a verdict was
 reached or the subcommand completed, 2 when check ends Unknown, 64 on
-usage, parse, or precondition errors.
+usage, parse, or precondition errors, 141 (128 + SIGPIPE, as a shell
+reports for a process that signal ends) when stdout is closed before
+the output is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -22,6 +25,7 @@ from .words import ParseError, parse
 EXIT_OK = 0
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -190,7 +194,16 @@ def main(argv: list[str] | None = None) -> int:
         if value is not None and value < least:
             print(f"twosquares: error: --{option} must be >= {least}", file=sys.stderr)
             return EXIT_USAGE
-    return run(args)
+    try:
+        code = run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; buffered output goes to devnull at exit, not to a second raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ P(1,1) = Q(1,1) = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .laurent import Laurent2
 from .words import Word, abelianize, in_commutator_subgroup
@@ -28,8 +28,7 @@ class NotALoopError(ValueError):
         self.expsums = expsums
 
 
-@dataclass(frozen=True)
-class ChainPair:
+class ChainPair(NamedTuple):
     """Edge weights of a lattice path: P for horizontal, Q for vertical."""
 
     P: Laurent2

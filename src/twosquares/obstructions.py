@@ -15,7 +15,7 @@ refute, never confirm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple, Optional
 
 from .cover import ChainPair, homology_image, lift_chain
@@ -73,17 +73,21 @@ class FactorReport(NamedTuple):
         return {**self._asdict(), "paper_stated": self.side == "P"}
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # one of _VERDICT_KINDS
-    reason: Optional[str] = None
-    witness: Optional[Witness] = None
+class Verdict(namedtuple("Verdict", "kind reason witness", defaults=(None, None))):
+    """Checked on every path to an instance, _make and _replace included."""
 
-    def __post_init__(self):
-        if self.kind not in _VERDICT_KINDS:
-            raise ValueError(f"unknown verdict kind {self.kind!r}")
-        if self.kind == "TwoSquares" and self.witness is None:
+    __slots__ = ()
+
+    def __new__(cls, kind: str, reason: Optional[str] = None, witness: Optional[Witness] = None):
+        if kind not in _VERDICT_KINDS:
+            raise ValueError(f"unknown verdict kind {kind!r}")
+        if kind == "TwoSquares" and witness is None:
             raise ValueError("a TwoSquares verdict needs a witness")
+        return super().__new__(cls, kind, reason, witness)
+
+    @classmethod
+    def _make(cls, iterable) -> "Verdict":
+        return cls(*iterable)
 
     def to_json(self) -> dict:
         if self.kind == "TwoSquares":
@@ -94,8 +98,7 @@ class Verdict:
         return {"kind": self.kind, "reason": self.reason}
 
 
-@dataclass
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Everything analyze computed for one word."""
 
     word: Word
@@ -114,8 +117,7 @@ class ObstructionReport:
         return {
             "word": str(self.word),
             "expsums": list(self.expsums),
-            "P": self.chain.P.to_json(),
-            "Q": self.chain.Q.to_json(),
+            **self.chain.to_json(),
             "f": None if self.f is None else self.f.to_json(),
             "g": None if self.g is None else self.g.to_json(),
             "ladder": [entry._asdict() for entry in self.ladder],

@@ -21,15 +21,13 @@ output is what the unsieved scan gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import kernel
 from .words import Word
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A decomposition a^2 b^2 of a word."""
 
     a: Word
@@ -40,8 +38,7 @@ class Witness:
         return self.a * self.a * self.b * self.b
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of a bounded search: the witness if any, and the effort spent."""
 
     witness: Optional[Witness]

@@ -2,12 +2,20 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import test_golden
+import twosquares
 from twosquares import cli
-from twosquares.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main, run
+from twosquares.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main, run
+
+# the same package as this process, whether installed or on PYTHONPATH
+PACKAGE_ENV = {**os.environ, "PYTHONPATH": str(Path(twosquares.__file__).parents[1])}
 
 
 def run_cli(capsys, *argv):
@@ -195,3 +203,24 @@ class TestParserReuse:
     def test_golden_corpus_in_reverse_order(self):
         for case in reversed(test_golden.GOLDEN["full"]):
             assert test_golden.run(case["argv"]) == (case["exit"], case["stdout"]), case["argv"]
+
+
+class TestFreshProcess:
+    def test_import_loads_no_dataclasses(self):
+        # -S: no site hooks, so only the package's own imports count
+        code = "import sys, twosquares.cli; print('dataclasses' in sys.modules)"
+        out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                             text=True, env=PACKAGE_ENV, check=True).stdout
+        assert out == "False\n"
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # about 250 kB of output, past a pipe's 64 kB buffer, so the
+        # command is still writing when the reader closes its end
+        argv = [sys.executable, "-m", "twosquares.cli", "ladder", "--depth", "10000", "[x,y]"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=PACKAGE_ENV) as proc:
+            assert proc.stdout.readline() == b"word: xyXY\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (EXIT_BROKEN_PIPE, b"")

@@ -313,6 +313,11 @@ class TestAnalyze:
         assert j["verdict"] == {"kind": "NotTwoSquares", "reason": "phi_1 = -1 is odd"}
         assert j["first_obstruction"] == {"k": 1, "value": -1, "side": "phi"}
 
+    def test_report_is_immutable(self):
+        report = analyze(parse("[x,y]"))
+        with pytest.raises(AttributeError):
+            report.verdict = Verdict("Unknown", reason="overwritten")
+
     def test_agrees_with_standalone_views(self, rng):
         for _ in range(300):
             g = random_loop(rng, 12)
@@ -326,13 +331,19 @@ class TestAnalyze:
 
 
 class TestVerdict:
+    """Both checks hold on every construction path: the call, _make and _replace."""
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown verdict kind"):
             Verdict("Maybe", reason="?")
+        with pytest.raises(ValueError, match="unknown verdict kind"):
+            Verdict._make(["Maybe", "?", None])
 
     def test_two_squares_needs_witness(self):
         with pytest.raises(ValueError, match="needs a witness"):
             Verdict("TwoSquares", reason="trust me")
+        with pytest.raises(ValueError, match="needs a witness"):
+            analyze(parse("[x,y]")).verdict._replace(kind="TwoSquares")
 
 
 class TestHomomorphismProperties:
