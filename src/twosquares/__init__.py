@@ -1,7 +1,7 @@
 """Products of two squares in the rank-2 free group: obstructions and witnesses.
 
 Build words with parse() or Word(), lift them to chains on the Z^2 grid
-with lift_chain(), evaluate the parity obstructions (phi, psi, the ladder,
+with lift_chain(), evaluate the parity obstructions (phi, the ladder,
 the factor criterion), search for explicit a^2 b^2 witnesses, or run all
 of it at once with analyze().
 """
@@ -39,7 +39,6 @@ from .obstructions import (
     ladder,
     parity_obstruction,
     phi,
-    psi,
 )
 from .oracle import (
     SearchOutcome,
@@ -80,7 +79,6 @@ __all__ = [
     "ladder",
     "parity_obstruction",
     "phi",
-    "psi",
     "SearchOutcome",
     "Witness",
     "enumerate_reduced",

@@ -18,7 +18,7 @@ import sys
 from functools import cache
 
 from .cover import NotALoopError, lift_chain, lift_trace
-from .obstructions import DEFAULT_DEPTH, LadderEntry, ObstructionReport, analyze, ladder
+from .obstructions import DEFAULT_DEPTH, MAX_DEPTH, LadderEntry, ObstructionReport, analyze, ladder
 from .oracle import search_with_stats
 from .words import ParseError, parse
 
@@ -189,10 +189,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    for option, least in (("depth", 1), ("bound", 0)):
+    for option, least, most in (("depth", 1, MAX_DEPTH), ("bound", 0, float("inf"))):
         value = getattr(args, option, None)  # None: absent, or --bound left to the word
-        if value is not None and value < least:
-            print(f"twosquares: error: --{option} must be >= {least}", file=sys.stderr)
+        if value is not None and not least <= value <= most:
+            limit = f">= {least}" if value < least else f"<= {most}"
+            print(f"twosquares: error: --{option} must be {limit}", file=sys.stderr)
             return EXIT_USAGE
     try:
         code = run(args)

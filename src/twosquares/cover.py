@@ -48,39 +48,34 @@ class ChainPair(NamedTuple):
         return {"P": self.P.to_json(), "Q": self.Q.to_json()}
 
 
+# Per letter code (x, X, y, Y): the chain side it runs on (0 = P, 1 = Q),
+# its sign, and its lattice step.
+_STEPS = ((0, 1, 1, 0), (0, -1, -1, 0), (1, 1, 0, 1), (1, -1, 0, -1))
+
+
 def lift_chain(w: Word) -> ChainPair:
     """Chain of the lift of w starting at the origin.
 
-    Walking from (0, 0): the letter x crossing rightwards from (i, j)
-    adds +x^i y^j to P; x^-1 first steps left, then adds -x^(i-1) y^j;
-    likewise y and y^-1 with Q.  Defined for any word; it is a cycle
-    exactly when both exponent sums vanish.
+    Each edge is keyed by its lower-left end: the letter x crossing
+    rightwards from (i, j) adds +x^i y^j to P, and x^-1 crossing back
+    adds -x^i y^j at the point (i, j) it reaches; likewise y and y^-1
+    with Q.  Defined for any word; it is a cycle exactly when both
+    exponent sums vanish.
     """
-    p: dict[tuple[int, int], int] = {}
-    q: dict[tuple[int, int], int] = {}
+    chain: tuple[dict[tuple[int, int], int], ...] = ({}, {})
     i = j = 0
     for code in w.codes:
-        if code == 0:
-            _bump(p, (i, j), 1)
-            i += 1
-        elif code == 1:
-            i -= 1
-            _bump(p, (i, j), -1)
-        elif code == 2:
-            _bump(q, (i, j), 1)
-            j += 1
+        side, sign, di, dj = _STEPS[code]
+        ni, nj = i + di, j + dj
+        edge = (i, j) if sign > 0 else (ni, nj)
+        terms = chain[side]
+        s = terms.get(edge, 0) + sign
+        if s:
+            terms[edge] = s
         else:
-            j -= 1
-            _bump(q, (i, j), -1)
-    return ChainPair(Laurent2._raw(p), Laurent2._raw(q))
-
-
-def _bump(terms: dict[tuple[int, int], int], ij: tuple[int, int], delta: int):
-    s = terms.get(ij, 0) + delta
-    if s:
-        terms[ij] = s
-    else:
-        terms.pop(ij, None)
+            del terms[edge]
+        i, j = ni, nj
+    return ChainPair(Laurent2._raw(chain[0]), Laurent2._raw(chain[1]))
 
 
 def lift_trace(w: Word) -> list[tuple[int, int]]:
@@ -88,14 +83,9 @@ def lift_trace(w: Word) -> list[tuple[int, int]]:
     i = j = 0
     points = [(0, 0)]
     for code in w.codes:
-        if code == 0:
-            i += 1
-        elif code == 1:
-            i -= 1
-        elif code == 2:
-            j += 1
-        else:
-            j -= 1
+        _, _, di, dj = _STEPS[code]
+        i += di
+        j += dj
         points.append((i, j))
     return points
 

@@ -24,6 +24,9 @@ from .oracle import SearchOutcome, Witness, _search_bound, search_with_stats
 from .words import Word, abelianize
 
 DEFAULT_DEPTH = 8
+# a rung costs time and memory, so the depth is capped: [x,y] at this
+# depth takes about 0.03 s and 1.2 MB, at 10^5 about 12 MB
+MAX_DEPTH = 10_000
 
 _VERDICT_KINDS = ("TwoSquares", "NotTwoSquares", "Unknown")
 
@@ -160,9 +163,11 @@ def _ladder_pass(chain: ChainPair, depth: int) -> _LadderPass:
 
 
 def _check_depth(depth: int) -> None:
-    """Refuse a ladder depth below 1."""
+    """Refuse a ladder depth outside 1..MAX_DEPTH."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth must be <= {MAX_DEPTH}")
 
 
 def _loop_pass(w: Word, depth: int) -> _LadderPass:
@@ -174,11 +179,6 @@ def phi(w: Word) -> int:
     """f'(1) for f(y) = P(1, y): additive, conjugacy-invariant, and even
     on any product of two squares.  Requires zero exponent sums."""
     return _loop_pass(w, 1).entries[0].phi
-
-
-def psi(w: Word) -> int:
-    """g'(1) for g(x) = Q(x, 1); equal to -phi on every loop word."""
-    return _loop_pass(w, 1).entries[0].psi
 
 
 def ladder(w: Word, depth: int = DEFAULT_DEPTH) -> list[LadderEntry]:
@@ -219,22 +219,17 @@ def _factor_reports(chain: ChainPair, side: str) -> tuple[FactorReport, ...]:
     return tuple(fr for fr in both if side in (fr.side, "both"))
 
 
-def factor_criterion(w: Word, side: str = "P") -> FactorReport:
-    """Strip maximal unit factors from the chosen chain coefficient.
+def factor_criterion(w: Word) -> FactorReport:
+    """Strip maximal unit factors from the chain coefficient P.
 
-    Writes P (or Q) as (x-1)^k (y-1)^l h with h divisible by neither unit
-    factor; h(1,1) odd proves w is not a product of two squares.  The Q
-    side restates the P side: Q = -(x-1) R where P = (y-1) R, so Q strips
-    to (k+1, l-1) with the same h(1,1) up to sign.  Raises
-    InapplicableCriterionError when the chosen coefficient is zero.
+    Writes P as (x-1)^k (y-1)^l h with h divisible by neither unit
+    factor; h(1,1) odd proves w is not a product of two squares.  Raises
+    InapplicableCriterionError when P is zero.
     """
-    if side not in ("P", "Q"):
-        raise ValueError(f"side must be 'P' or 'Q', not {side!r}")
-    chain = homology_image(w)
-    reports = _factor_reports(chain, side)
+    reports = _factor_reports(homology_image(w), "P")
     if not reports:
         raise InapplicableCriterionError(
-            f"factor criterion inapplicable: {side} is the zero polynomial"
+            "factor criterion inapplicable: P is the zero polynomial"
         )
     return reports[0]
 

@@ -6,17 +6,10 @@ iff a^-2 g is a square, and square roots in a free group are unique and
 checkable in linear time.  The length bound applies to a only, so a miss
 means "no witness with |a| <= bound", never a proof of impossibility.
 
-The kernel draws each candidate with its a^-2 from a per-process table,
-so a candidate costs one product and one square test.  A level, all a of
-one length, is built on first use and kept up to length 8 (13,121 pairs,
-about 2 MB); longer levels are streamed and never stored.  On the kept
-levels from length 3 on that hold at least |g|/16 candidates (mapping g
-costs about what the sieve saves on that many), a candidate is first
-mapped with g into the finite quotients SL(2,5) and SL(2,3).  A
-homomorphism maps squares to squares, so an a whose a^-2 g maps to a
-non-square cannot be a witness and is skipped untested.  Skipped
-candidates still count in ``checked``, so every witness, count and
-output is what the unsieved scan gives.
+The kernel may skip a candidate it can rule out early (its candidate
+table and finite-quotient sieve are described in ``_kernel_py``), but
+skipped candidates still count in ``checked``, so every witness, count
+and output is what the plain shortlex scan gives.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from twosquares import (
     parity_obstruction,
     parse,
     phi,
-    psi,
     search_with_stats,
     square_root,
 )
@@ -145,10 +144,10 @@ def test_criterion_6_all_vanishing_word():
 def test_criterion_7_property_suite(rng):
     cases = 500
     with criterion(7, f"property suite, {cases} random cases each", None):
-        # psi = -phi on the commutator subgroup
+        # psi_1 = -phi_1 on the commutator subgroup (the cycle law)
         for _ in range(cases):
             g = random_loop(rng, 12)
-            assert psi(g) == -phi(g)
+            assert ladder(g, 1)[0].psi == -phi(g)
 
         # conjugacy invariance of phi and of the first defined nonzero
         # ladder value
@@ -175,7 +174,7 @@ def test_criterion_7_property_suite(rng):
             obs = first_obstruction(g, 8)
             assert obs is None or obs.value % 2 == 0
             try:
-                assert factor_criterion(g, "P").h11 % 2 == 0
+                assert factor_criterion(g).h11 % 2 == 0
             except InapplicableCriterionError:
                 pass
 
@@ -199,7 +198,7 @@ def test_criterion_8_oracle_obstruction_consistency():
             assert witness.product() == g
             assert parity_obstruction(g, 8) is None
             try:
-                assert not factor_criterion(g, "P").obstructs
+                assert not factor_criterion(g).obstructs
             except InapplicableCriterionError:
                 pass
 

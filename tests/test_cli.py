@@ -82,6 +82,8 @@ class TestLadder:
     def test_bad_depth(self, capsys):
         code, _, _ = run_cli(capsys, "ladder", "--depth", "0", "[x,y]")
         assert code == EXIT_USAGE
+        code, _, _ = run_cli(capsys, "ladder", "--depth", "10001", "[x,y]")
+        assert code == EXIT_USAGE
 
 
 class TestChain:
@@ -158,6 +160,8 @@ class TestErrors:
         (("ladder", "--depth", "0"), "--depth must be >= 1"),
         (("check", "--bound", "-1"), "--bound must be >= 0"),
         (("search", "--bound", "-1"), "--bound must be >= 0"),
+        (("check", "--depth", "10001"), "--depth must be <= 10000"),
+        (("ladder", "--depth", "100000000"), "--depth must be <= 10000"),
     ])
     def test_option_range_errors(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv, "[x,y]")
@@ -166,6 +170,8 @@ class TestErrors:
     def test_option_range_checked_before_the_word(self, capsys):
         code, _, err = run_cli(capsys, "check", "--depth", "0", "--bound", "-1", "x^")
         assert (code, err) == (EXIT_USAGE, "twosquares: error: --depth must be >= 1\n")
+        code, _, err = run_cli(capsys, "check", "--depth", "100000000", "x^")
+        assert (code, err) == (EXIT_USAGE, "twosquares: error: --depth must be <= 10000\n")
 
     def test_dispatch_rejects_unknown_command(self):
         with pytest.raises(ValueError, match="unknown command 'frobnicate'"):

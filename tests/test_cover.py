@@ -116,6 +116,17 @@ class TestChainLaws:
             g2 = random_reduced(rng, rng.randrange(13))
             assert lift_chain(g1 * g2) == lift_chain(g1) + lift_chain(g2)
 
+    def test_additivity_on_open_paths(self, rng):
+        # any exponent sums: v's walk starts where u's ends, and a
+        # cancelling seam runs one edge forth and back
+        cancelled = 0
+        for _ in range(500):
+            u = random_reduced(rng, rng.randrange(13))
+            v = random_reduced(rng, rng.randrange(13))
+            cancelled += len(u * v) < len(u) + len(v)
+            assert lift_chain(u * v) == lift_chain(u) + lift_chain(v).translate(*abelianize(u))
+        assert cancelled >= 50
+
     def test_inverse_of_loop_negates(self, rng):
         for _ in range(200):
             g = random_loop(rng)
@@ -164,3 +175,12 @@ class TestHomologyImage:
     def test_json_shape(self):
         j = lift_chain(parse("[x,y]")).to_json()
         assert j == {"P": [[0, 0, 1], [0, 1, -1]], "Q": [[0, 0, -1], [1, 0, 1]]}
+
+    def test_equal_chains_hash_equal(self):
+        # the same chain as lift_chain([x,y]), its terms inserted in another order
+        c = lift_chain(parse("[x,y]"))
+        d = ChainPair(Laurent2({(0, 1): -1, (0, 0): 1}), Laurent2({(0, 0): -1, (1, 0): 1}))
+        assert list(c.P.items()) != list(d.P.items())
+        assert list(c.Q.items()) != list(d.Q.items())
+        assert c == d and hash(c) == hash(d)
+        assert len({c, d, c.translate(1, 0)}) == 2

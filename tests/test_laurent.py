@@ -204,6 +204,24 @@ class TestDisplayAndJson:
         assert str(Laurent2.zero()) == "0"
         assert Laurent1({-2: -1}).to_str("y") == "-y^-2"
 
+    def test_laurent1_str_and_repr(self):
+        f = Laurent1({3: 1, -1: 2})
+        assert str(f) == "2*t^-1 + t^3"
+        assert repr(f) == "Laurent1({3: 1, -1: 2})"
+        assert eval(repr(f), {"Laurent1": Laurent1}) == f
+
+    def test_equal_polynomials_hash_equal(self):
+        # equal maps, different insertion orders
+        pairs = [
+            (L2({(0, 0): 1, (1, 1): -1}), L2({(1, 1): -1, (0, 0): 1})),
+            ((X - ONE) * (Y - ONE), ONE - X - Y + X * Y),
+            (Laurent1({3: 1, -1: 2}), Laurent1({-1: 2, 3: 1})),
+        ]
+        for p, q in pairs:
+            assert list(p.items()) != list(q.items())
+            assert p == q and hash(p) == hash(q)
+            assert len({p, q}) == 1
+
     def test_json_sorted(self):
         p = L2({(1, 1): -1, (0, 0): 1, (-1, 0): 2})
         assert p.to_json() == [[-1, 0, 2], [0, 0, 1], [1, 1, -1]]

@@ -23,9 +23,9 @@ from twosquares import (
     parity_obstruction,
     parse,
     phi,
-    psi,
     search_with_stats,
 )
+from twosquares.obstructions import MAX_DEPTH
 
 from conftest import random_loop, random_reduced
 
@@ -65,12 +65,13 @@ class TestPhiPsi:
         assert phi(parse("[x,y]^3")) == -3
 
     def test_psi_values(self):
-        assert psi(parse("[x,y]")) == 1
-        assert psi(parse("[x^2,y]")) == 2
-        assert psi(Word()) == 0
+        # psi_1 is the ladder's first rung on the Q side
+        assert ladder(parse("[x,y]"), 1)[0].psi == 1
+        assert ladder(parse("[x^2,y]"), 1)[0].psi == 2
+        assert ladder(Word(), 1)[0].psi == 0
 
     def test_rejects_non_loops(self):
-        for fn in (phi, psi, parity_obstruction, first_obstruction, factor_criterion):
+        for fn in (phi, parity_obstruction, first_obstruction, factor_criterion):
             with pytest.raises(NotALoopError):
                 fn(Word("x"))
         with pytest.raises(NotALoopError):
@@ -105,6 +106,9 @@ class TestLadder:
         for call in (ladder, first_obstruction, parity_obstruction, analyze):
             with pytest.raises(ValueError, match="^depth must be >= 1$"):
                 call(parse("[x,y]"), 0)
+            with pytest.raises(ValueError, match=f"^depth must be <= {MAX_DEPTH}$"):
+                call(parse("[x,y]"), MAX_DEPTH + 1)
+        assert len(ladder(parse("[x,y]"), MAX_DEPTH)) == MAX_DEPTH == 10_000
 
 
 class TestFirstObstruction:
@@ -156,7 +160,7 @@ class TestFactorCriterion:
 
     def test_q_side(self):
         # Q([x,y]) = x-1 strips to h = 1: odd, agreeing with the P side
-        fr = factor_criterion(parse("[x,y]"), side="Q")
+        (fr,) = analyze(parse("[x,y]"), side="Q").factors
         assert fr.side == "Q"
         assert (fr.k, fr.l, fr.h11) == (1, 0, 1)
         assert fr.obstructs
@@ -164,15 +168,7 @@ class TestFactorCriterion:
 
     def test_zero_side_inapplicable(self):
         with pytest.raises(InapplicableCriterionError):
-            factor_criterion(Word(), side="P")
-
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            factor_criterion(parse("[x,y]"), side="R")
-        # side is refused before the word is lifted, so a non-loop gets
-        # the side message, not NotALoopError
-        with pytest.raises(ValueError, match="side must be"):
-            factor_criterion(parse("x"), side="R")
+            factor_criterion(Word())
 
 
 class TestCycleLaw:
@@ -200,11 +196,11 @@ class TestCycleLaw:
                     chain.P.strip_units(),
                     chain.Q.strip_units(),
                 ], g
-                assert factor_criterion(g, "Q") == reports[1]
+                assert factor_criterion(g) == reports[0]
             else:
                 assert reports == ()
                 with pytest.raises(InapplicableCriterionError):
-                    factor_criterion(g, "Q")
+                    factor_criterion(g)
             kinds = {analyze(g, bound=0, side=s).verdict.kind for s in ("P", "Q", "both")}
             assert len(kinds) == 1, g
         assert longest >= 900
@@ -279,7 +275,9 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("word", ["x", "[x,y]", "[x^2,y]"])
     @pytest.mark.parametrize(
-        "option", [{"side": "Z"}, {"bound": -1}, {"depth": 0}], ids=["side", "bound", "depth"]
+        "option",
+        [{"side": "Z"}, {"bound": -1}, {"depth": 0}, {"depth": MAX_DEPTH + 1}],
+        ids=["side", "bound", "depth", "depth_cap"],
     )
     def test_bad_arguments_refused_on_every_word(self, word, option):
         with pytest.raises(ValueError):
@@ -327,7 +325,7 @@ class TestAnalyze:
             parity = parity_obstruction(g)
             if parity is not None:
                 assert report.verdict.reason == f"{parity.describe()} is odd"
-            assert (report.ladder[0].phi, report.ladder[0].psi) == (phi(g), psi(g))
+            assert report.ladder[0].phi == phi(g)
 
 
 class TestVerdict:
@@ -353,9 +351,10 @@ class TestHomomorphismProperties:
             assert phi(g1 * g2) == phi(g1) + phi(g2)
 
     def test_psi_is_minus_phi(self, rng):
+        # the ladder computes psi_1 from Q alone; the cycle law makes it -phi_1
         for _ in range(500):
             g = random_loop(rng)
-            assert psi(g) == -phi(g)
+            assert ladder(g, 1)[0].psi == -phi(g)
 
     def test_phi_conjugacy_invariant(self, rng):
         for _ in range(500):
@@ -419,7 +418,7 @@ class TestParitySoundness:
                 assert obs.value % 2 == 0
             assert parity_obstruction(g, 8) is None
             try:
-                assert factor_criterion(g, "P").h11 % 2 == 0
+                assert factor_criterion(g).h11 % 2 == 0
             except InapplicableCriterionError:
                 pass
 

@@ -101,6 +101,6 @@ class TestCrossValidation:
                 continue
             assert parity_obstruction(g, 8) is None
             try:
-                assert not factor_criterion(g, "P").obstructs
+                assert not factor_criterion(g).obstructs
             except InapplicableCriterionError:
                 pass
