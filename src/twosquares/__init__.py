@@ -1,9 +1,9 @@
 """Products of two squares in the rank-2 free group: obstructions and witnesses.
 
 Build words with parse() or Word(), lift them to chains on the Z^2 grid
-with lift_chain(), evaluate the parity obstructions (phi, the ladder,
-the factor criterion), search for explicit a^2 b^2 witnesses, or run all
-of it at once with analyze().
+with lift_chain(), read the obstruction ladder with ladder() (phi() is
+its first rung), search for explicit a^2 b^2 witnesses, or run every
+criterion, the factor criterion included, with analyze().
 """
 
 from .kernel import BACKEND as KERNEL_BACKEND
@@ -29,15 +29,11 @@ from .obstructions import (
     DEFAULT_DEPTH,
     FactorReport,
     FirstObstruction,
-    InapplicableCriterionError,
     LadderEntry,
     ObstructionReport,
     Verdict,
     analyze,
-    factor_criterion,
-    first_obstruction,
     ladder,
-    parity_obstruction,
     phi,
 )
 from .oracle import (
@@ -69,15 +65,11 @@ __all__ = [
     "DEFAULT_DEPTH",
     "FactorReport",
     "FirstObstruction",
-    "InapplicableCriterionError",
     "LadderEntry",
     "ObstructionReport",
     "Verdict",
     "analyze",
-    "factor_criterion",
-    "first_obstruction",
     "ladder",
-    "parity_obstruction",
     "phi",
     "SearchOutcome",
     "Witness",

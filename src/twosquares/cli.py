@@ -190,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     for option, least, most in (("depth", 1, MAX_DEPTH), ("bound", 0, float("inf"))):
-        value = getattr(args, option, None)  # None: absent, or --bound left to the word
+        value = getattr(args, option, None)  # None: absent, or --bound left to oracle's default
         if value is not None and not least <= value <= most:
             limit = f">= {least}" if value < least else f"<= {most}"
             print(f"twosquares: error: --{option} must be {limit}", file=sys.stderr)

@@ -9,7 +9,9 @@ it must be even whenever w is a product of two squares — so an odd value
 is a proof that it is not.  On top of the ladder sits a factorization
 criterion: write P = (x-1)^k (y-1)^l h with k, l maximal; h(1, 1), the
 Taylor coefficient of (x-1)^k (y-1)^l in P at (1, 1), must again be even
-for a product of two squares.  All criteria are one-sided: they can
+for a product of two squares.  On any word g'(1) is the signed area of
+its path, so psi_1's parity extends off the loops: exponent sums both
+0 mod 4 and an odd area refute.  All criteria are one-sided: they can
 refute, never confirm.
 """
 
@@ -29,10 +31,6 @@ DEFAULT_DEPTH = 8
 MAX_DEPTH = 10_000
 
 _VERDICT_KINDS = ("TwoSquares", "NotTwoSquares", "Unknown")
-
-
-class InapplicableCriterionError(ValueError):
-    """The requested criterion does not apply (zero chain coefficient)."""
 
 
 class FirstObstruction(NamedTuple):
@@ -170,38 +168,16 @@ def _check_depth(depth: int) -> None:
         raise ValueError(f"depth must be <= {MAX_DEPTH}")
 
 
-def _loop_pass(w: Word, depth: int) -> _LadderPass:
-    _check_depth(depth)
-    return _ladder_pass(homology_image(w), depth)
-
-
 def phi(w: Word) -> int:
     """f'(1) for f(y) = P(1, y): additive, conjugacy-invariant, and even
     on any product of two squares.  Requires zero exponent sums."""
-    return _loop_pass(w, 1).entries[0].phi
+    return ladder(w, 1)[0].phi
 
 
 def ladder(w: Word, depth: int = DEFAULT_DEPTH) -> list[LadderEntry]:
     """Ladder values phi_k, psi_k for k = 1..depth, with definedness flags."""
-    return _loop_pass(w, depth).entries
-
-
-def first_obstruction(w: Word, depth: int = DEFAULT_DEPTH) -> Optional[FirstObstruction]:
-    """Smallest-k defined nonzero ladder value within depth, either side.
-
-    When both sides have one at the same k, the phi side is reported.
-    None means no nonzero value up to the given depth (inconclusive
-    unless f and g are identically zero).
-    """
-    return _loop_pass(w, depth).first
-
-
-def parity_obstruction(w: Word, depth: int = DEFAULT_DEPTH) -> Optional[FirstObstruction]:
-    """The first defined nonzero ladder value that is odd, if any.
-
-    An odd value on either side proves w is not a product of two squares.
-    """
-    return _loop_pass(w, depth).parity
+    _check_depth(depth)
+    return _ladder_pass(homology_image(w), depth).entries
 
 
 def _factor_reports(chain: ChainPair, side: str) -> tuple[FactorReport, ...]:
@@ -219,21 +195,6 @@ def _factor_reports(chain: ChainPair, side: str) -> tuple[FactorReport, ...]:
     return tuple(fr for fr in both if side in (fr.side, "both"))
 
 
-def factor_criterion(w: Word) -> FactorReport:
-    """Strip maximal unit factors from the chain coefficient P.
-
-    Writes P as (x-1)^k (y-1)^l h with h divisible by neither unit
-    factor; h(1,1) odd proves w is not a product of two squares.  Raises
-    InapplicableCriterionError when P is zero.
-    """
-    reports = _factor_reports(homology_image(w), "P")
-    if not reports:
-        raise InapplicableCriterionError(
-            "factor criterion inapplicable: P is the zero polynomial"
-        )
-    return reports[0]
-
-
 def analyze(
     w: Word,
     depth: int = DEFAULT_DEPTH,
@@ -243,15 +204,16 @@ def analyze(
     """Run every criterion plus the witness search and combine verdicts.
 
     Precedence: an odd exponent sum proves NotTwoSquares, since every
-    a^2 b^2 has even ones; then an odd obstruction proves it (the search
-    is skipped in both cases — it could only confirm absence); otherwise
-    a search hit gives TwoSquares with a re-verified witness; otherwise
-    Unknown.  The ladder and the factor criterion run only on words with
-    zero exponent sums, since the obstruction theory lives on the
+    a^2 b^2 has even ones; so do sums both 0 mod 4 with an odd signed
+    area (README gives the proof) and, on a loop word, an odd
+    obstruction.  The search is skipped then: it could only confirm
+    absence.  Otherwise a search hit gives TwoSquares with a re-verified
+    witness; otherwise Unknown.  The ladder and the factor criterion run
+    only on loop words, since the obstruction theory lives on the
     commutator subgroup.  side selects which of the factor criterion's
     reports are kept: "P", "Q", "both".  The Q side restates the P side
     (same h(1,1) up to sign), so side never changes the verdict kind.
-    The bound defaults to |w|.
+    The bound defaults to |w|, at most oracle.DEFAULT_BOUND_CAP.
     """
     _check_depth(depth)
     if side not in ("P", "Q", "both"):
@@ -271,6 +233,12 @@ def analyze(
         )
     elif expsums != (0, 0):
         inconclusive = f"exponent sums {expsums} != (0, 0): obstruction tests do not apply"
+        area = chain.Q.substitute_y1().taylor_coeff(1)  # the integral of x dy: g'(1)
+        if expsums[0] % 4 == expsums[1] % 4 == 0 and area % 2:
+            verdict = Verdict(
+                "NotTwoSquares",
+                reason=f"exponent sums {expsums} are 0 mod 4 and the signed area {area} is odd",
+            )
     else:
         inconclusive = f"no odd obstruction up to depth {depth}"
         f, g, entries, first, parity = _ladder_pass(chain, depth)

@@ -12,20 +12,16 @@ from contextlib import contextmanager
 
 from twosquares.cli import main as cli_main
 from twosquares import (
-    FactorReport,
-    InapplicableCriterionError,
     Word,
     abelianize,
     analyze,
     commutator,
     conjugate,
     enumerate_reduced,
-    factor_criterion,
-    first_obstruction,
+    homology_image,
     in_commutator_subgroup,
     ladder,
     lift_chain,
-    parity_obstruction,
     parse,
     phi,
     search_with_stats,
@@ -107,9 +103,8 @@ def test_criterion_4_power_commutator_classification(capsys):
                     assert a * a * b * b == w
                 else:
                     assert verdict["kind"] == "NotTwoSquares"
-                    obs = parity_obstruction(w)
-                    assert obs is not None and obs.value == -m * n
-                    assert obs.value % 2 != 0
+                    assert verdict["reason"] == f"phi_1 = {-m * n} is odd"
+                    assert payload["first_obstruction"] == {"k": 1, "value": -m * n, "side": "phi"}
 
 
 def test_criterion_5_ladder_realizing_words():
@@ -124,7 +119,7 @@ def test_criterion_5_ladder_realizing_words():
                 elif e.k == k:
                     assert e.phi == -1 and e.phi_defined
                 assert e.psi == 0
-            assert first_obstruction(w, 8) == (k, -1, "phi")
+            assert analyze(w, 8, bound=0).first_obstruction == (k, -1, "phi")
 
 
 def test_criterion_6_all_vanishing_word():
@@ -134,9 +129,8 @@ def test_criterion_6_all_vanishing_word():
         chain = lift_chain(w)
         assert chain.P.substitute_x1() == Laurent1.zero()
         assert chain.Q.substitute_y1() == Laurent1.zero()
-        fr = factor_criterion(w)
-        assert fr.h11 == -1
         report = analyze(w)
+        assert report.factors[0].h11 == -1
         assert report.verdict.kind == "NotTwoSquares"
         assert "factor criterion" in report.verdict.reason
 
@@ -155,7 +149,8 @@ def test_criterion_7_property_suite(rng):
             g = random_loop(rng, 12)
             h = random_reduced(rng, rng.randrange(13))
             assert phi(conjugate(g, h)) == phi(g)
-            assert first_obstruction(conjugate(g, h), 8) == first_obstruction(g, 8)
+            first = analyze(g, 8, bound=0).first_obstruction
+            assert analyze(conjugate(g, h), 8, bound=0).first_obstruction == first
 
         # chain deck law
         for _ in range(cases):
@@ -171,12 +166,7 @@ def test_criterion_7_property_suite(rng):
             g = c * conjugate(c, ~h)
             assert g == (c * ~h) ** 2 * h**2
             assert phi(g) % 2 == 0
-            obs = first_obstruction(g, 8)
-            assert obs is None or obs.value % 2 == 0
-            try:
-                assert factor_criterion(g).h11 % 2 == 0
-            except InapplicableCriterionError:
-                pass
+            assert analyze(g, 8, bound=0).verdict.kind != "NotTwoSquares"
 
         # Taylor coefficients: integral and equal to the derivative oracle
         for _ in range(cases):
@@ -196,11 +186,7 @@ def test_criterion_8_oracle_obstruction_consistency():
             if witness is None:
                 continue
             assert witness.product() == g
-            assert parity_obstruction(g, 8) is None
-            try:
-                assert not factor_criterion(g).obstructs
-            except InapplicableCriterionError:
-                pass
+            assert analyze(g, 8, bound=0).verdict.kind != "NotTwoSquares"
 
 
 def test_criterion_9_square_root_exhaustive():
@@ -230,13 +216,13 @@ def test_criterion_10_linear_parse():
 
 def test_criterion_11_factor_criterion_without_quotient():
     w = parse("[x^1000,y^1000]")
-    expected = FactorReport(0, 1, -1_000_000, "P")
+    expected = (0, 1, -1_000_000)
     tracemalloc.start()  # also the warm-up, outside the timed window
     try:
-        assert factor_criterion(w) == expected
+        assert homology_image(w).P.strip_units() == expected
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB >= 5 MB"
     with criterion(11, "factor criterion on [x^1000,y^1000]: h(1,1) = -10^6", 0.1):
-        assert factor_criterion(w) == expected
+        assert homology_image(w).P.strip_units() == expected

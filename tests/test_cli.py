@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -230,3 +231,17 @@ class TestFreshProcess:
             err = proc.stderr.read()
             code = proc.wait(timeout=60)
         assert (code, err) == (EXIT_BROKEN_PIPE, b"")
+
+    def test_default_search_stops_at_twelve(self):
+        # the closed-form witness of [x^50,y^50] has a = x^25; the default
+        # bound stops at 12, so check ends Unknown in seconds, not weeks
+        argv = [sys.executable, "-m", "twosquares.cli", "check", "[x^50,y^50]"]
+        start = time.perf_counter()
+        out = subprocess.run(argv, capture_output=True, text=True, env=PACKAGE_ENV, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert out.returncode == EXIT_UNKNOWN
+        assert out.stdout.splitlines()[-1] == (
+            "verdict: Unknown (no odd obstruction up to depth 8; "
+            "no witness with |a| <= 12 (1062881 candidates checked))"
+        )
+        assert elapsed < 15, f"{elapsed:.1f} s >= 15 s"

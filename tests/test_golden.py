@@ -67,6 +67,8 @@ FULL_ARGVS = (
         ["search", "--bound", "2", "[x,y]"],
         ["chain", "[y^3xY^3,y^3xyY^3]^-2"],
         ["check", "--format", "json", "--bound", "2", "[xyX,xY^2X]^3"],
+        ["check", "x^3yxY"],
+        ["check", "--format", "json", "x^3yxY"],
     ]
 )
 

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from twosquares import (
-    InapplicableCriterionError,
     Laurent1,
     Laurent2,
     NotALoopError,
@@ -15,12 +14,9 @@ from twosquares import (
     analyze,
     conjugate,
     enumerate_reduced,
-    factor_criterion,
-    first_obstruction,
     in_commutator_subgroup,
     ladder,
     lift_chain,
-    parity_obstruction,
     parse,
     phi,
     search_with_stats,
@@ -71,9 +67,8 @@ class TestPhiPsi:
         assert ladder(Word(), 1)[0].psi == 0
 
     def test_rejects_non_loops(self):
-        for fn in (phi, parity_obstruction, first_obstruction, factor_criterion):
-            with pytest.raises(NotALoopError):
-                fn(Word("x"))
+        with pytest.raises(NotALoopError):
+            phi(Word("x"))
         with pytest.raises(NotALoopError):
             ladder(Word("xy"), 3)
 
@@ -103,7 +98,7 @@ class TestLadder:
 
     def test_depth_validation(self):
         # one check, one message, whichever entry point meets the depth
-        for call in (ladder, first_obstruction, parity_obstruction, analyze):
+        for call in (ladder, analyze):
             with pytest.raises(ValueError, match="^depth must be >= 1$"):
                 call(parse("[x,y]"), 0)
             with pytest.raises(ValueError, match=f"^depth must be <= {MAX_DEPTH}$"):
@@ -113,48 +108,47 @@ class TestLadder:
 
 class TestFirstObstruction:
     def test_commutator(self):
-        assert first_obstruction(parse("[x,y]")) == (1, -1, "phi")
+        assert analyze(parse("[x,y]"), bound=0).first_obstruction == (1, -1, "phi")
 
     def test_second_rung(self):
-        assert first_obstruction(ladder_word(2)) == (2, -1, "phi")
+        assert analyze(ladder_word(2), bound=0).first_obstruction == (2, -1, "phi")
 
     def test_all_vanishing_has_none(self):
-        assert first_obstruction(all_vanishing_word(), 10) is None
+        assert analyze(all_vanishing_word(), 10, bound=0).first_obstruction is None
 
     def test_psi_side_can_win(self):
         # mirror of ladder_word(2) in the generators: psi carries the value
         w = parse("[y,x]")
         for _ in range(1):
             w = twist(w, Word("x"))
-        obs = first_obstruction(w)
+        obs = analyze(w, bound=0).first_obstruction
         assert obs is not None and obs.side == "psi"
 
 
 class TestParityObstruction:
     def test_odd_commutator(self):
-        obs = parity_obstruction(parse("[x,y]"))
-        assert obs == (1, -1, "phi")
+        assert analyze(parse("[x,y]")).verdict.reason == "phi_1 = -1 is odd"
 
     def test_even_value_not_obstructed(self):
-        assert parity_obstruction(parse("[x^2,y]")) is None
+        assert analyze(parse("[x^2,y]"), bound=0).verdict.kind == "Unknown"
 
     def test_odd_power(self):
-        assert parity_obstruction(parse("[x,y]^5")) == (1, -5, "phi")
+        assert analyze(parse("[x,y]^5")).verdict.reason == "phi_1 = -5 is odd"
 
 
 class TestFactorCriterion:
     def test_commutator(self):
-        fr = factor_criterion(parse("[x,y]"))
+        fr = analyze(parse("[x,y]"), bound=0).factors[0]
         assert (fr.k, fr.l, fr.h11, fr.side) == (0, 1, -1, "P")
         assert fr.obstructs
 
     def test_all_vanishing_word_is_caught(self):
-        fr = factor_criterion(all_vanishing_word())
+        fr = analyze(all_vanishing_word(), bound=0).factors[0]
         assert (fr.k, fr.l, fr.h11) == (1, 2, -1)
         assert fr.obstructs
 
     def test_even_case_passes(self):
-        fr = factor_criterion(parse("[x^2,y]"))
+        fr = analyze(parse("[x^2,y]"), bound=0).factors[0]
         assert (fr.k, fr.l, fr.h11) == (0, 1, -2)
         assert not fr.obstructs
 
@@ -165,10 +159,6 @@ class TestFactorCriterion:
         assert (fr.k, fr.l, fr.h11) == (1, 0, 1)
         assert fr.obstructs
         assert not fr.to_json()["paper_stated"]
-
-    def test_zero_side_inapplicable(self):
-        with pytest.raises(InapplicableCriterionError):
-            factor_criterion(Word())
 
 
 class TestCycleLaw:
@@ -196,11 +186,8 @@ class TestCycleLaw:
                     chain.P.strip_units(),
                     chain.Q.strip_units(),
                 ], g
-                assert factor_criterion(g) == reports[0]
             else:
                 assert reports == ()
-                with pytest.raises(InapplicableCriterionError):
-                    factor_criterion(g)
             kinds = {analyze(g, bound=0, side=s).verdict.kind for s in ("P", "Q", "both")}
             assert len(kinds) == 1, g
         assert longest >= 900
@@ -287,6 +274,8 @@ class TestAnalyze:
         g = parse("[x^2,y]")
         assert analyze(g).search.bound == len(g)
         assert search_with_stats(g).bound == len(g)
+        # past 12 letters the default stops at 12: a miss there checks 1,062,881
+        assert search_with_stats(parse("[x^8,y^8]")).bound == 12
 
     def test_identity_is_trivially_two_squares(self):
         report = analyze(Word())
@@ -321,11 +310,65 @@ class TestAnalyze:
             g = random_loop(rng, 12)
             report = analyze(g, bound=0)
             assert report.ladder == ladder(g)
-            assert report.first_obstruction == first_obstruction(g)
-            parity = parity_obstruction(g)
-            if parity is not None:
-                assert report.verdict.reason == f"{parity.describe()} is odd"
             assert report.ladder[0].phi == phi(g)
+
+
+def signed_area(w: Word) -> int:
+    """The integral of x dy along w's grid path, walked letter by letter."""
+    x = area = 0
+    for c in w.codes:
+        x += (1, -1, 0, 0)[c]
+        area += (0, 0, x, -x)[c]
+    return area
+
+
+class TestSignedArea:
+    """Sums both 0 mod 4 and an odd signed area refute a non-loop word:
+    in the Heisenberg group u^2 v^2 = (2(a+a'), 2(b+b'), even + ab + a'b')."""
+
+    def test_refutes_exactly_464_words_up_to_length_8(self):
+        refuted = {}
+        for g in enumerate_reduced(8):
+            s, t = abelianize(g)
+            if s % 2 or t % 2 or (s, t) == (0, 0):
+                continue
+            verdict = analyze(g, bound=0).verdict
+            area = signed_area(g)
+            if s % 4 == t % 4 == 0 and area % 2:
+                assert verdict.reason == (
+                    f"exponent sums {(s, t)} are 0 mod 4 and the signed area {area} is odd"
+                ), g
+                assert search_with_stats(g, 5).witness is None, g
+                refuted[len(g)] = refuted.get(len(g), 0) + 1
+            else:
+                assert verdict.kind != "NotTwoSquares", g
+        assert refuted == {6: 48, 8: 416}
+
+    def test_shortest_example(self):
+        report = analyze(parse("x^3yxY"))
+        assert report.verdict.reason == (
+            "exponent sums (4, 0) are 0 mod 4 and the signed area -1 is odd"
+        )
+        assert report.search is None and report.ladder == []
+
+    def test_area_parity_is_phi_parity_on_loops(self):
+        loops = [g for g in enumerate_reduced(10) if in_commutator_subgroup(g)]
+        assert len(loops) == 2601
+        for g in loops:
+            assert signed_area(g) % 2 == phi(g) % 2, g
+
+    def test_verdict_invariant_under_conjugation(self, rng):
+        refuted = 0
+        for _ in range(400):
+            g = random_reduced(rng, rng.randrange(2, 15))
+            s, t = abelianize(g)
+            if s % 2 or t % 2 or (s, t) == (0, 0):
+                continue
+            h = random_reduced(rng, rng.randrange(1, 9))
+            kind = analyze(g, bound=0).verdict.kind
+            assert analyze(conjugate(g, h), bound=0).verdict.kind == kind, (g, h)
+            refuted += kind == "NotTwoSquares"
+        assert refuted >= 5
 
 
 class TestVerdict:
@@ -366,7 +409,8 @@ class TestHomomorphismProperties:
         for _ in range(500):
             g = random_loop(rng)
             h = random_reduced(rng, rng.randrange(13))
-            assert first_obstruction(g, 8) == first_obstruction(conjugate(g, h), 8)
+            first = analyze(g, 8, bound=0).first_obstruction
+            assert analyze(conjugate(g, h), 8, bound=0).first_obstruction == first
 
     def test_ladder_additive_on_kernel_domain(self, rng):
         # elements with chain divisible by (y-1)^(k-1) realize the k-th rung;
@@ -413,14 +457,7 @@ class TestParitySoundness:
             g = c * conjugate(c, ~h)  # equals (c h^-1)^2 h^2
             assert g == (c * ~h) ** 2 * h**2
             assert phi(g) % 2 == 0
-            obs = first_obstruction(g, 8)
-            if obs is not None:
-                assert obs.value % 2 == 0
-            assert parity_obstruction(g, 8) is None
-            try:
-                assert factor_criterion(g).h11 % 2 == 0
-            except InapplicableCriterionError:
-                pass
+            assert analyze(g, 8, bound=0).verdict.kind != "NotTwoSquares"
 
     def test_conjugate_halves_carry_half_phi(self, rng):
         for _ in range(500):
