@@ -12,10 +12,11 @@ the output is written.
 from __future__ import annotations
 
 import argparse
-import json
+import itertools
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .cover import NotALoopError, lift_chain, lift_trace
 from .obstructions import DEFAULT_DEPTH, MAX_DEPTH, LadderEntry, ObstructionReport, analyze, ladder
@@ -67,7 +68,42 @@ def _build_parser() -> _Parser:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    """Print obj as exactly the text json.dumps(obj, indent=2) writes."""
+    print(_json_text(obj))
+
+
+# One writer per exact type, so a bool is never written as an int.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for str-keyed dicts, lists,
+    str, int, bool and None; TypeError on any other type.  A list of
+    equal-length rows of plain ints is written through one row template."""
+    kind = type(obj)
+    if kind in _SCALARS:
+        return _SCALARS[kind](obj)
+    if kind is not dict and kind is not list:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not obj:
+        return "{}" if kind is dict else "[]"
+    inner = indent + "  "
+    if kind is dict:  # encode_basestring_ascii raises TypeError on a non-str key
+        items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if (set(map(type, obj)) == {list} and len(set(map(len, obj))) == 1
+            and set(map(type, itertools.chain.from_iterable(obj))) == {int}):
+        deeper = inner + "  "
+        row = "[" + deeper + ("," + deeper).join(["{}"] * len(obj[0])) + inner + "]"
+        items = itertools.starmap(row.format, obj)
+    else:
+        items = (_json_text(v, inner) for v in obj)
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
 def run(args: argparse.Namespace) -> int:
@@ -145,7 +181,7 @@ def render_report(report: ObstructionReport) -> str:
     lines.append(f"P = {report.chain.P}")
     lines.append(f"Q = {report.chain.Q}")
     if report.f is None:
-        lines.append("obstruction tests skipped: word is outside the commutator subgroup")
+        lines.append("ladder and factor criterion skipped: word is outside the commutator subgroup")
     else:
         lines.append(f"f(y) = P(1,y) = {report.f.to_str('y')}")
         lines.append(f"g(x) = Q(x,1) = {report.g.to_str('x')}")

@@ -233,12 +233,13 @@ def analyze(
         )
     elif expsums != (0, 0):
         inconclusive = f"exponent sums {expsums} != (0, 0): obstruction tests do not apply"
-        area = chain.Q.substitute_y1().taylor_coeff(1)  # the integral of x dy: g'(1)
-        if expsums[0] % 4 == expsums[1] % 4 == 0 and area % 2:
-            verdict = Verdict(
-                "NotTwoSquares",
-                reason=f"exponent sums {expsums} are 0 mod 4 and the signed area {area} is odd",
-            )
+        if expsums[0] % 4 == expsums[1] % 4 == 0:
+            area = chain.Q.substitute_y1().taylor_coeff(1)  # the integral of x dy: g'(1)
+            if area % 2:
+                verdict = Verdict(
+                    "NotTwoSquares",
+                    reason=f"exponent sums {expsums} are 0 mod 4 and the signed area {area} is odd",
+                )
     else:
         inconclusive = f"no odd obstruction up to depth {depth}"
         f, g, entries, first, parity = _ladder_pass(chain, depth)

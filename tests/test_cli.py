@@ -9,10 +9,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import test_golden
 import twosquares
-from twosquares import cli
+from twosquares import analyze, cli, ladder, lift_chain, lift_trace, parse, search_with_stats
 from twosquares.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main, run
 
 # the same package as this process, whether installed or on PYTHONPATH
@@ -124,6 +125,65 @@ class TestSearch:
         assert json.loads(out) == {
             "found": True, "a": "x", "b": "yXY", "checked": 2, "bound": 3,
         }
+
+
+BIG_INTS = st.integers(-2**80, 2**80)
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | BIG_INTS | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@st.composite
+def int_rows(draw):
+    """Equal-length rows of ints, sometimes with one row ragged or holding bools."""
+    width = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(BIG_INTS, min_size=width, max_size=width), max_size=6))
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.lists(BIG_INTS | st.booleans(), max_size=5))
+    return rows
+
+
+class TestJsonText:
+    """cli._json_text writes exactly what json.dumps(obj, indent=2) writes."""
+
+    @staticmethod
+    def assert_as_json_dumps(obj):
+        assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_TREES)
+    def test_trees(self, obj):
+        self.assert_as_json_dumps(obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_rows())
+    def test_int_rows(self, rows):
+        self.assert_as_json_dumps(rows)
+        self.assert_as_json_dumps({"rows": [rows]})
+
+    def test_loop_word_reports(self):
+        words = test_golden.loop_words()
+        assert len(words) == 361
+        for w in words:
+            self.assert_as_json_dumps(analyze(parse(w), bound=3, side="both").to_json())
+
+    def test_subcommand_payloads(self):
+        entries = [e._asdict() for e in ladder(parse("[x^1000,y^1000]"))]
+        assert max(abs(e["phi"]) for e in entries).bit_length() > 64
+        self.assert_as_json_dumps(entries)
+        word = parse("[x^3,y]")
+        self.assert_as_json_dumps(
+            {**lift_chain(word).to_json(), "trace": [[i, j] for i, j in lift_trace(word)]}
+        )
+        for bound in (1, 3):
+            self.assert_as_json_dumps(search_with_stats(parse("[x^2,y]"), bound).to_json())
+
+    @pytest.mark.parametrize("obj", [1.5, (1, 2), {1: "one"}, {"a": [[1, 2.0]]}])
+    def test_other_types_raise(self, obj):
+        with pytest.raises(TypeError):
+            cli._json_text(obj)
 
 
 class TestErrors:

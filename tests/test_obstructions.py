@@ -351,6 +351,19 @@ class TestSignedArea:
         )
         assert report.search is None and report.ladder == []
 
+    @pytest.mark.parametrize("expr, calls", [("x^2y^2", 0), ("x^3yxY", 1)])
+    def test_area_computed_only_for_sums_0_mod_4(self, monkeypatch, expr, calls):
+        counted = []
+        original = Laurent2.substitute_y1
+
+        def counting(self):
+            counted.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Laurent2, "substitute_y1", counting)
+        analyze(parse(expr))
+        assert len(counted) == calls
+
     def test_area_parity_is_phi_parity_on_loops(self):
         loops = [g for g in enumerate_reduced(10) if in_commutator_subgroup(g)]
         assert len(loops) == 2601
