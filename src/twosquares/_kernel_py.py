@@ -111,31 +111,36 @@ def _level(n):
 
 
 class _Quotient:
-    """SL(2, p) as a finite quotient of the free group: x -> [[0,-1],[1,0]], y -> [[1,1],[0,1]].
+    """The finite quotient of the free group sending x, y to 2x2 matrices x_image, y_image mod p.
 
-    Elements are numbered from 0, the identity, in the order found.
-    right[c][i] is the number of element i times letter c.  good[h] is a
-    bytes.translate table sending u to 1 if u^-2 h is a square and to 0
-    if not.  A homomorphism maps squares to squares, so if a maps to u and
-    g to h, then g = a^2 b^2 needs good[h][u] == 1.
+    The quotient is the group those two matrices generate.  Elements are
+    numbered from 0, the identity, in the order found.  right[c][i] is
+    the number of element i times letter c.  good[h] is a bytes.translate
+    table sending u to 1 if u^-2 h is a square and to 0 if not.  A
+    homomorphism maps squares to squares, so if a maps to u and g to h,
+    then g = a^2 b^2 needs good[h][u] == 1.
     """
 
-    def __init__(self, p):
+    def __init__(self, x_image, y_image, p):
         def times(m, k):
             a, b, c, d = m
             e, f, g, h = k
             return (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p
 
+        def inverse(m):  # the inverse of a matrix of determinant 1
+            a, b, c, d = m
+            return d, -b % p, -c % p, a
+
         self.p = p
-        letters = ((0, p - 1, 1, 0), (0, 1, p - 1, 0), (1, 1, 0, 1), (1, p - 1, 0, 1))  # x X y Y
+        self.letters = (x_image, inverse(x_image), y_image, inverse(y_image))  # x X y Y
         self.elements = [(1, 0, 0, 1)]
         index = {self.elements[0]: 0}
         for m in self.elements:  # appended to while read, until closed under the letters
-            for mk in (times(m, k) for k in letters):
+            for mk in (times(m, k) for k in self.letters):
                 if mk not in index:
                     index[mk] = len(self.elements)
                     self.elements.append(mk)
-        self.right = tuple(bytes(index[times(m, k)] for m in self.elements) for k in letters)
+        self.right = tuple(bytes(index[times(m, k)] for m in self.elements) for k in self.letters)
         self.squares = frozenset(index[times(m, m)] for m in self.elements)
         good = [bytearray(256) for _ in self.elements]
         for u, m in enumerate(self.elements):
@@ -154,17 +159,27 @@ class _Quotient:
 
 @functools.cache
 def _quotients():
-    """SL(2,5) and SL(2,3), 120 and 24 elements; built by the first sieved search."""
-    return _Quotient(5), _Quotient(3)
+    """Four maps of the free group onto SL(2,3), 24 elements each; built by the first sieved search.
+
+    With S = [[0,-1],[1,0]], T = [[1,1],[0,1]] and L = [[1,0],[1,1]] mod 3,
+    (x, y) goes to (T, ST), (T, S), (S, T) and (T, L).  Under one map alone
+    many loop words go to 1, and then every candidate survives, since
+    u^-2 * 1 is a square; these four together sieve every candidate of
+    length 3-5 of the 240 loop words of length 10 that end Unknown at bound 5.
+    """
+    s, t, l, st = (0, 2, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 2, 1, 1)
+    return tuple(_Quotient(x, y, 3) for x, y in ((t, st), (t, s), (s, t), (t, l)))
 
 
 # The sieve starts at length 3 at the earliest: levels 0-2 hold 17 candidates, and a
 # search that stops there builds no table.
 _FIRST_SIEVED = 3
-# Folding g into both quotients takes about 95 ns a letter; the sieve skips about 78% of a
-# level's candidates, each costing 1.2-5 us to test (|g| from 10 to 40k letters).  So a
-# level is sieved once it holds at least len(g) / 16 candidates, where its saving alone
-# pays for the fold: every level from 3 on for |g| <= 576, none up to length 6 for 40k.
+# Folding g into the four quotients takes about 110-130 ns a letter; the sieve skips about
+# 95% of a level's candidates on random words, each costing 0.8-3.8 us to test (|g| from
+# 100 to 40k letters).  So a level is sieved once it holds at least len(g) / 16 candidates:
+# every level from 3 on for |g| <= 576, none up to length 6 for 40k.  On misses at bounds
+# 5-7 over 600-25k letters no value of 8-32 was best everywhere: 8 was up to 40% slower
+# than 16 at 1500 letters, and 32 twice as slow at 10k and bound 5.
 _LETTERS_PER_CANDIDATE = 16
 
 

@@ -240,6 +240,8 @@ def analyze(
                     "NotTwoSquares",
                     reason=f"exponent sums {expsums} are 0 mod 4 and the signed area {area} is odd",
                 )
+            else:
+                inconclusive = f"exponent sums {expsums} are 0 mod 4 but the signed area {area} is even"
     else:
         inconclusive = f"no odd obstruction up to depth {depth}"
         f, g, entries, first, parity = _ladder_pass(chain, depth)

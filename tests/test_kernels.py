@@ -1,5 +1,6 @@
 """The word kernel against independent definitions of its contract."""
 
+import functools
 import os
 import random
 import subprocess
@@ -271,24 +272,47 @@ def mat_inv(m, p):
 
 
 def image(q, codes):
-    """The matrix of a word in q, from the letter images alone."""
-    p = q.p
-    letters = {0: (0, p - 1, 1, 0), 2: (1, 1, 0, 1)}
+    """The matrix of a word in q, from q's images of x and y alone."""
+    letters = {0: q.letters[0], 2: q.letters[2]}
     m = (1, 0, 0, 1)
     for c in codes:
         k = letters[c & 2]
-        m = mat_mul(m, k if c % 2 == 0 else mat_inv(k, p), p)
+        m = mat_mul(m, k if c % 2 == 0 else mat_inv(k, q.p), q.p)
     return m
 
 
+@functools.cache
+def searched_loop_words():
+    """The loop words of length <= 10 that analyze(bound=5) sends to the search, by verdict kind."""
+    by_kind = {"TwoSquares": [], "Unknown": []}
+    for g in enumerate_reduced(10):
+        if in_commutator_subgroup(g):
+            kind = analyze(g, bound=5).verdict.kind
+            if kind in by_kind:
+                by_kind[kind].append(g.codes)
+    return by_kind
+
+
+def kept_at_lengths_3_to_5(g):
+    """How many of the 468 candidates of length 3-5 survive the sieve for g."""
+    g_images = [q.fold(g) for q in _kernel_py._quotients()]
+    kept = 0
+    for n in range(3, 6):
+        sel = _kernel_py._survivors(n, g_images)
+        kept += len(sel) - sel.count(0)
+    return kept
+
+
 class TestQuotientSieve:
-    """From length 3 to 8 the search tests only the a whose a^-2 g is a square in SL(2,5) and SL(2,3)."""
+    """From length 3 to 8 the search tests only the a whose a^-2 g maps to a square in every quotient."""
 
     def test_quotient_sizes(self):
-        assert [(q.p, len(q.elements), len(q.squares)) for q in _kernel_py._quotients()] == [
-            (5, 120, 46), (3, 24, 10)]
+        s, t, l, st = (0, 2, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 2, 1, 1)
+        assert [(q.p, q.letters[0], q.letters[2], len(q.elements), len(q.squares))
+                for q in _kernel_py._quotients()] == [
+            (3, t, st, 24, 10), (3, t, s, 24, 10), (3, s, t, 24, 10), (3, t, l, 24, 10)]
 
-    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("which", range(4))
     def test_good_keeps_every_witness_image(self, which):
         # the sieve's lemma: if h = u^2 v^2 then u^-2 h is a square, so u survives
         q = _kernel_py._quotients()[which]
@@ -328,16 +352,30 @@ class TestQuotientSieve:
         assert [search_square_pair(g, 5) for g in targets] == default
 
     def test_sieve_rejects_most_candidates_of_the_unknown_loop_words(self):
-        unknown = [g.codes for g in enumerate_reduced(10)
-                   if len(g) == 10 and in_commutator_subgroup(g)
-                   and analyze(g, bound=5).verdict.kind == "Unknown"]
+        unknown = [g for g in searched_loop_words()["Unknown"] if len(g) == 10]
         assert len(unknown) == 240
-        kept = total = 0
-        for g in unknown:
-            g_images = [q.fold(g) for q in _kernel_py._quotients()]
-            for n in range(_kernel_py._FIRST_SIEVED, 6):
-                sel = _kernel_py._survivors(n, g_images)
-                kept += len(sel) - sel.count(0)
-                total += len(sel)
-        assert total == 240 * (36 + 108 + 324)
-        assert kept <= 0.25 * total, f"{kept} of {total} candidates survive"
+        # SL(2,5) and SL(2,3) under x -> S, y -> T alone would keep 22% of these 240 * 468
+        assert sum(map(kept_at_lengths_3_to_5, unknown)) == 0
+
+    def test_sieve_rejects_most_candidates_of_the_two_squares_loop_words(self):
+        found = [g for g in searched_loop_words()["TwoSquares"] if len(g) == 10]
+        assert len(found) == 656
+        kept = list(map(kept_at_lengths_3_to_5, found))
+        # SL(2,5) and SL(2,3) under x -> S, y -> T alone would keep 47%, and all 468 for 224 words
+        assert sum(kept) <= 0.10 * 468 * len(found), f"{sum(kept)} of {468 * len(found)} survive"
+        assert max(kept) < 468
+
+    def test_square_tests_on_the_searched_loop_words(self, monkeypatch):
+        words = searched_loop_words()
+        assert (len(words["TwoSquares"]), len(words["Unknown"])) == (785, 240)
+        tests = []
+
+        def counted(w):
+            tests.append(w)
+            return square_root(w)
+
+        monkeypatch.setattr(_kernel_py, "square_root", counted)
+        for g in words["TwoSquares"] + words["Unknown"]:
+            search_square_pair(g, 5)
+        # 14,163 when this gate was set; SL(2,5) and SL(2,3) under x -> S, y -> T alone need 55,215
+        assert len(tests) <= 14163

@@ -342,6 +342,10 @@ class TestSignedArea:
                 refuted[len(g)] = refuted.get(len(g), 0) + 1
             else:
                 assert verdict.kind != "NotTwoSquares", g
+                if verdict.kind == "Unknown":
+                    applied = (f"are 0 mod 4 but the signed area {area} is even"
+                               if s % 4 == t % 4 == 0 else "!= (0, 0): obstruction tests do not apply")
+                    assert verdict.reason.startswith(f"exponent sums {(s, t)} {applied}; "), g
         assert refuted == {6: 48, 8: 416}
 
     def test_shortest_example(self):
@@ -350,6 +354,13 @@ class TestSignedArea:
             "exponent sums (4, 0) are 0 mod 4 and the signed area -1 is odd"
         )
         assert report.search is None and report.ladder == []
+
+    def test_an_even_area_is_named_in_the_unknown_reason(self):
+        report = analyze(parse("x^3y^2xY^2"))
+        assert report.verdict.reason == (
+            "exponent sums (4, 0) are 0 mod 4 but the signed area -2 is even; "
+            "no witness with |a| <= 8 (13121 candidates checked)"
+        )
 
     @pytest.mark.parametrize("expr, calls", [("x^2y^2", 0), ("x^3yxY", 1)])
     def test_area_computed_only_for_sums_0_mod_4(self, monkeypatch, expr, calls):
