@@ -111,9 +111,11 @@ def _level(n):
 
 
 class _Quotient:
-    """The finite quotient of the free group sending x, y to 2x2 matrices x_image, y_image mod p.
+    """The finite quotient of the free group sending x, y to 2x2 matrices x_image, y_image mod 3.
 
-    The quotient is the group those two matrices generate.  Elements are
+    Both images must have determinant 1: inverse() assumes it, and the
+    sieve is only sound if the letter X goes to the inverse of x's image.
+    The quotient is the subgroup of SL(2,3) they generate.  Elements are
     numbered from 0, the identity, in the order found.  right[c][i] is
     the number of element i times letter c.  good[h] is a bytes.translate
     table sending u to 1 if u^-2 h is a square and to 0 if not.  A
@@ -121,7 +123,11 @@ class _Quotient:
     then g = a^2 b^2 needs good[h][u] == 1.
     """
 
-    def __init__(self, x_image, y_image, p):
+    p = 3
+
+    def __init__(self, x_image, y_image):
+        p = self.p
+
         def times(m, k):
             a, b, c, d = m
             e, f, g, h = k
@@ -131,7 +137,6 @@ class _Quotient:
             a, b, c, d = m
             return d, -b % p, -c % p, a
 
-        self.p = p
         self.letters = (x_image, inverse(x_image), y_image, inverse(y_image))  # x X y Y
         self.elements = [(1, 0, 0, 1)]
         index = {self.elements[0]: 0}
@@ -168,7 +173,7 @@ def _quotients():
     length 3-5 of the 240 loop words of length 10 that end Unknown at bound 5.
     """
     s, t, l, st = (0, 2, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 2, 1, 1)
-    return tuple(_Quotient(x, y, 3) for x, y in ((t, st), (t, s), (s, t), (t, l)))
+    return tuple(_Quotient(x, y) for x, y in ((t, st), (t, s), (s, t), (t, l)))
 
 
 # The sieve starts at length 3 at the earliest: levels 0-2 hold 17 candidates, and a

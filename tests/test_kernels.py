@@ -299,6 +299,7 @@ def kept_at_lengths_3_to_5(g):
     kept = 0
     for n in range(3, 6):
         sel = _kernel_py._survivors(n, g_images)
+        assert len(sel) == 4 * 3 ** (n - 1), (n, len(sel))  # one byte for every candidate
         kept += len(sel) - sel.count(0)
     return kept
 
@@ -354,14 +355,12 @@ class TestQuotientSieve:
     def test_sieve_rejects_most_candidates_of_the_unknown_loop_words(self):
         unknown = [g for g in searched_loop_words()["Unknown"] if len(g) == 10]
         assert len(unknown) == 240
-        # SL(2,5) and SL(2,3) under x -> S, y -> T alone would keep 22% of these 240 * 468
         assert sum(map(kept_at_lengths_3_to_5, unknown)) == 0
 
     def test_sieve_rejects_most_candidates_of_the_two_squares_loop_words(self):
         found = [g for g in searched_loop_words()["TwoSquares"] if len(g) == 10]
         assert len(found) == 656
         kept = list(map(kept_at_lengths_3_to_5, found))
-        # SL(2,5) and SL(2,3) under x -> S, y -> T alone would keep 47%, and all 468 for 224 words
         assert sum(kept) <= 0.10 * 468 * len(found), f"{sum(kept)} of {468 * len(found)} survive"
         assert max(kept) < 468
 
@@ -377,5 +376,5 @@ class TestQuotientSieve:
         monkeypatch.setattr(_kernel_py, "square_root", counted)
         for g in words["TwoSquares"] + words["Unknown"]:
             search_square_pair(g, 5)
-        # 14,163 when this gate was set; SL(2,5) and SL(2,3) under x -> S, y -> T alone need 55,215
+        # 14,163 when this gate was set
         assert len(tests) <= 14163

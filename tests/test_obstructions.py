@@ -355,13 +355,6 @@ class TestSignedArea:
         )
         assert report.search is None and report.ladder == []
 
-    def test_an_even_area_is_named_in_the_unknown_reason(self):
-        report = analyze(parse("x^3y^2xY^2"))
-        assert report.verdict.reason == (
-            "exponent sums (4, 0) are 0 mod 4 but the signed area -2 is even; "
-            "no witness with |a| <= 8 (13121 candidates checked)"
-        )
-
     @pytest.mark.parametrize("expr, calls", [("x^2y^2", 0), ("x^3yxY", 1)])
     def test_area_computed_only_for_sums_0_mod_4(self, monkeypatch, expr, calls):
         counted = []
