@@ -7,6 +7,11 @@ reached or the subcommand completed, 2 when check ends Unknown, 64 on
 usage, parse, or precondition errors, 141 (128 + SIGPIPE, as a shell
 reports for a process that signal ends) when stdout is closed before
 the output is written.
+
+main reads a plain command line (a subcommand, that subcommand's options
+by their full names each followed by a valid value, and one word) with
+_scan, and every other argv, help and usage errors included, with
+argparse, whose output is unchanged; both read one option table.
 """
 
 from __future__ import annotations
@@ -36,35 +41,83 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@cache  # built on first use, then shared: parse_args keeps no state
+# options that more than one subcommand takes
+_FORMAT = ("--format", ("text", "json"), "text", {})
+_DEPTH = ("--depth", int, DEFAULT_DEPTH, {"metavar": "K"})
+_BOUND = ("--bound", int, None, {"metavar": "L"})
+
+# Each subcommand's help and options, in the order its help lists them.  An
+# option is (name, kind, default, other add_argument keywords), and its kind is
+# int, a tuple of choices, or bool for a flag.  _build_parser and _scan both
+# read this table.
+_COMMANDS = {
+    "check": ("run all criteria plus the witness search",
+              (_FORMAT, _DEPTH, _BOUND, ("--side", ("P", "Q", "both"), "P", {}))),
+    "ladder": ("print the obstruction ladder", (_FORMAT, _DEPTH)),
+    "chain": ("print the grid-lift chain coefficients",
+              (_FORMAT, ("--trace", bool, False, {"help": "list visited lattice points"}))),
+    "search": ("witness search only", (_FORMAT, _BOUND)),
+}
+
+
+@cache  # built only for the argv _scan leaves to argparse, then shared: parse_args keeps no state
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="twosquares",
         description="Decide or obstruct: is a free-group word a product of two squares?",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for command, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("word", help="word expression, e.g. '[x,y]' or 'x^2yX^2Y'")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        return p
-
-    p = add("check", "run all criteria plus the witness search")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH, metavar="K")
-    p.add_argument("--bound", type=int, default=None, metavar="L")
-    p.add_argument("--side", choices=("P", "Q", "both"), default="P")
-
-    p = add("ladder", "print the obstruction ladder")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH, metavar="K")
-
-    p = add("chain", "print the grid-lift chain coefficients")
-    p.add_argument("--trace", action="store_true", help="list visited lattice points")
-
-    p = add("search", "witness search only")
-    p.add_argument("--bound", type=int, default=None, metavar="L")
-
+        for name, kind, default, extra in options:
+            if kind is bool:
+                p.add_argument(name, action="store_true", **extra)
+            elif kind is int:
+                p.add_argument(name, type=int, default=default, **extra)
+            else:
+                p.add_argument(name, choices=kind, default=default, **extra)
     return parser
+
+
+def _scan(argv) -> argparse.Namespace | None:
+    """What parse_args(argv) returns, for a plain argv; None for any other.
+
+    Plain: a subcommand, then its options by their exact names and one word;
+    each valued option is followed by a value that int() or the choices
+    accept, and no value or word starts with '-'.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][1]
+    kinds = {name: kind for name, kind, _, _ in options}
+    values = {name[2:]: default for name, _, default, _ in options}
+    words = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        kind = kinds.get(arg)
+        if kind is None:
+            if arg.startswith("-"):
+                return None
+            words.append(arg)
+            continue
+        if kind is bool:
+            values[arg[2:]] = True
+            continue
+        value = next(rest, "-")
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif value not in kind:
+            return None
+        values[arg[2:]] = value
+    if len(words) != 1:
+        return None
+    return argparse.Namespace(command=argv[0], word=words[0], **values)
 
 
 def _emit_json(obj) -> None:
@@ -220,11 +273,14 @@ def render_report(report: ObstructionReport) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _scan(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     for option, least, most in (("depth", 1, MAX_DEPTH), ("bound", 0, float("inf"))):
         value = getattr(args, option, None)  # None: absent, or --bound left to oracle's default
         if value is not None and not least <= value <= most:

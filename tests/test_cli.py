@@ -1,12 +1,15 @@
 """Command-line behaviour: output formats, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,7 +256,7 @@ class TestDeterminism:
 
 
 class TestParserReuse:
-    """main() builds its argument parser once per process and reuses it."""
+    """main() builds its argument parser at most once per process and reuses it."""
 
     def test_built_once(self):
         assert cli._build_parser() is cli._build_parser()
@@ -262,14 +265,140 @@ class TestParserReuse:
         expected = next(
             case for case in test_golden.GOLDEN["full"] if case["argv"] == ["check", "[x,y]"]
         )
-        run_cli(capsys, "check", "--side", "both", "--depth", "2", "--bound", "1",
-                "--format", "json", "[x,y]")
-        code, out, _ = run_cli(capsys, "check", "[x,y]")
-        assert (code, out) == (expected["exit"], expected["stdout"])
+        # options set through the scan, then through argparse, then through
+        # argparse abbreviations; of the two argv after each, the scan reads
+        # the first and argparse the one with "--"
+        scanned = ("check", "--side", "both", "--depth", "2", "--bound", "1", "--format", "json", "[x,y]")
+        parsed = ("check", "--side=both", "--depth=2", "--bound=1", "--format=json", "[x,y]")
+        abbreviated = ("check", "--si", "both", "--dep", "2", "--form", "json", "[x,y]")
+        assert cli._scan(scanned) is not None
+        assert cli._scan(parsed) is None and cli._scan(abbreviated) is None
+        for before in (scanned, parsed, scanned, abbreviated):
+            for after in (("check", "[x,y]"), ("check", "--", "[x,y]")):
+                run_cli(capsys, *before)
+                code, out, _ = run_cli(capsys, *after)
+                assert (code, out) == (expected["exit"], expected["stdout"]), (before, after)
 
     def test_golden_corpus_in_reverse_order(self):
         for case in reversed(test_golden.GOLDEN["full"]):
             assert test_golden.run(case["argv"]) == (case["exit"], case["stdout"]), case["argv"]
+
+
+def outputs(argv):
+    """(exit, stdout, stderr) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# The option vocabulary of the subcommands, written out here rather than read
+# from cli, so that a wrong entry in cli's option table shows up as a mismatch.
+OPTIONS = {
+    "check": ("--format", "--depth", "--bound", "--side"),
+    "ladder": ("--format", "--depth"),
+    "chain": ("--format", "--trace"),
+    "search": ("--format", "--bound"),
+}
+# values that int() or the choices accept, then values that they refuse or
+# that start with "-"; small ints only, as a bound past 3 would make the
+# search dominate the run time
+INTS = ("0", "2", "+1", " 3", "3 ", "0_2", "\u0662", "\uff13")
+VALUES = {
+    "--format": (("text", "json"), ("xml", "JSON", " json", "")),
+    "--side": (("P", "Q", "both"), ("p", "R", "Both", "-P")),
+    "--depth": (INTS, ("1 2", "1__2", "-1", "-0", "x", "", "2.0")),
+    "--bound": (INTS, ("1 2", "1__2", "-1", "-0", "x", "", "2.0")),
+}
+WORDS = ("", "-x", "[x,y]")
+ABBREVIATED = ("--form", "--f", "--dep", "--d", "--b", "--bou", "--s", "--sid", "--tr", "--t")
+TOKENS = tuple(dict.fromkeys((
+    *(name for names in OPTIONS.values() for name in names), *ABBREVIATED,
+    *(f"{name}={value}" for name in ("--format", "--depth", "--bound", "--side", "--trace", "--form")
+      for value in ("json", "2", "both", "", "-1")),
+    *(value for pair in VALUES.values() for values in pair for value in values),
+    *WORDS, "--", "-h", "--help", "check", "--frob",
+)))
+
+
+@st.composite
+def full_name_argv(draw, plain):
+    """A subcommand, then some of its options by their full names and words in any order.
+    If plain, each value is one the scan accepts and there is one word."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    parts = []
+    for name in draw(st.lists(st.sampled_from(OPTIONS[command]), max_size=4)):
+        if name == "--trace":
+            parts.append([name])
+        else:
+            accepted, refused = VALUES[name]
+            parts.append([name, draw(st.sampled_from(accepted if plain else accepted + refused))])
+    words = [draw(st.sampled_from(WORDS[::2]))] if plain else draw(st.lists(st.sampled_from(WORDS), max_size=2))
+    for word in words:
+        parts.insert(draw(st.integers(0, len(parts))), [word])
+    return [command, *(token for part in parts for token in part)]
+
+
+ARGVS = (
+    full_name_argv(plain=True)
+    | full_name_argv(plain=False)
+    | st.builds(lambda head, rest: [head, *rest],
+                st.sampled_from([*OPTIONS, "chec", "frob", "-h", "--format"]),
+                st.lists(st.sampled_from(TOKENS), max_size=6))
+    | st.lists(st.sampled_from(TOKENS), max_size=3)
+)
+
+
+class TestScan:
+    """_scan returns parse_args's Namespace or None, and main's output does not depend on it."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(ARGVS)
+    def test_scan_is_parse_args_or_none(self, argv):
+        scanned = cli._scan(argv)
+        if scanned is not None:
+            assert scanned == cli._build_parser().parse_args(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ARGVS)
+    def test_main_same_through_argparse(self, argv):
+        expected = outputs(argv)
+        with mock.patch.object(cli, "_scan", lambda argv: None):
+            assert outputs(argv) == expected
+
+    def test_golden_corpus_through_argparse(self):
+        for case in test_golden.GOLDEN["full"]:
+            expected = outputs(case["argv"])
+            assert expected[:2] == (case["exit"], case["stdout"]), case["argv"]
+            with mock.patch.object(cli, "_scan", lambda argv: None):
+                assert outputs(case["argv"]) == expected, case["argv"]
+
+    def test_scan_reads_every_golden_and_workload_argv(self):
+        # every golden argv (the README command lines among them), and the
+        # benchmark's check --bound N [--format json] W: a scan that refused
+        # these would send every call back through argparse
+        words = ["[x,y]", "x^2yX^2Y", "xy^3XY^2xYX^2y^2", ""]
+        argvs = [
+            *(case["argv"] for case in test_golden.GOLDEN["full"]),
+            *(flags + [w] for flags in test_golden.BATCH_FLAGS.values() for w in words),
+            *(["check", "--bound", str(n), *fmt, w]
+              for n in (0, 4, 12) for fmt in ((), ("--format", "json")) for w in words),
+        ]
+        parser = cli._build_parser()
+        for argv in argvs:
+            scanned = cli._scan(argv)
+            assert scanned is not None, argv
+            assert scanned == parser.parse_args(argv), argv
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["check"], ["check", "-h", "[x,y]"], ["check", "--form", "json", "[x,y]"],
+        ["check", "--format=json", "[x,y]"], ["check", "--", "[x,y]"], ["check", "--bound", "-1", "[x,y]"],
+        ["check", "--bound", "four", "[x,y]"], ["check", "--side", "R", "[x,y]"], ["check", "[x,y]", "[x,y]"],
+        ["check", "-x"], ["check", "--trace", "[x,y]"], ["chain", "--trace=1", "[x,y]"], ["chec", "[x,y]"],
+        ["check", "--bound"], ["--format", "json", "check", "[x,y]"],
+    ])
+    def test_scan_leaves_the_rest_to_argparse(self, argv):
+        assert cli._scan(argv) is None
 
 
 class TestFreshProcess:
@@ -279,6 +408,17 @@ class TestFreshProcess:
         out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                              text=True, env=PACKAGE_ENV, check=True).stdout
         assert out == "False\n"
+
+    def test_plain_check_builds_no_parser(self):
+        code = (
+            "import contextlib, io; from twosquares import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['check', '[x,y]'])\n"
+            "print(code, cli._build_parser.cache_info().currsize)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=PACKAGE_ENV, check=True).stdout
+        assert out == "0 0\n"
 
     def test_closed_stdout_exits_141_quietly(self):
         # about 250 kB of output, past a pipe's 64 kB buffer, so the

@@ -341,16 +341,21 @@ class TestQuotientSieve:
     @pytest.mark.parametrize("letters_per_candidate", [0, 10**9])
     def test_where_the_sieve_starts_changes_no_result(self, monkeypatch, letters_per_candidate):
         # 0 sieves no level and 10**9 every level from length 3 on; by default the
-        # a^2 b^2 of about 720 letters test length 3 unsieved and sieve from length 4 on
+        # a^2 b^2 of about 720 letters at bound 5 and the words of about 25k letters
+        # at bound 7 sieve from length 3 on
         rng = random.Random(11)
         b = ref_reduce(bytes(rng.randrange(4) for _ in range(700)))
+        long_b = ref_reduce(bytes(rng.randrange(4) for _ in range(25000)))
+        long_miss = ref_reduce(bytes(rng.randrange(4) for _ in range(50000)))
         a_s = [level[len(level) // 2] for level in (list(words_of_length(n)) for n in (3, 4, 5))]
-        targets = [mul(mul(a, a), mul(b, b)) for a in a_s] + [b]
-        default = [search_square_pair(g, 5) for g in targets]
-        assert [a for a, _, _ in default] == a_s + [None]
-        assert default[-1][2] == 485
+        targets = [(mul(mul(a, a), mul(b, b)), 5) for a in a_s] + [(b, 5)]
+        targets += [(mul(mul(a_s[0], a_s[0]), mul(long_b, long_b)), 7), (long_miss, 7)]
+        assert all(24000 < len(g) < 26000 for g, _ in targets[-2:])
+        default = [search_square_pair(g, bound) for g, bound in targets]
+        assert [a for a, _, _ in default] == a_s + [None, a_s[0], None]
+        assert [checked for _, _, checked in default] == [36, 108, 324, 485, 36, 4373]
         monkeypatch.setattr(_kernel_py, "_LETTERS_PER_CANDIDATE", letters_per_candidate)
-        assert [search_square_pair(g, 5) for g in targets] == default
+        assert [search_square_pair(g, bound) for g, bound in targets] == default
 
     def test_sieve_rejects_most_candidates_of_the_unknown_loop_words(self):
         unknown = [g for g in searched_loop_words()["Unknown"] if len(g) == 10]
