@@ -80,7 +80,7 @@ def make_workloads(rng):
          bench_search, [(bytes([0, 2, 1, 3]), 8)]),
         ("search miss ([x,y], bound 9)",
          bench_search, [(bytes([0, 2, 1, 3]), 9)]),
-        # these sieve every length from 3 on, and the longer ones sieve none
+        # the sieve starts at length 5 for these, and is not used for the longer ones
         ("search miss (5 x len 2000, bound 5)",
          bench_search, [(random_reduced_codes(rng, 2000), 5) for _ in range(5)]),
         ("search miss (5 x len 40000, bound 5)",

@@ -181,12 +181,10 @@ def _quotients():
 _FIRST_SIEVED = 3
 # Folding g into the four quotients takes about 110-130 ns a letter; the sieve skips about
 # 95% of a level's candidates on random words, each costing 0.8-3.8 us to test (|g| from
-# 100 to 40k letters).  g is folded once per search and then every level sieves for the
-# price of its images, so a search sieves from length 3 on when its largest cached level
-# within the bound holds at least len(g) / 16 candidates, and sieves no level otherwise:
-# |g| <= 5184 at bound 5, |g| <= 139,968 at bound 8 or more.  16 was chosen when each level
-# decided alone: on misses at bounds 5-7 over 600-25k letters no value of 8-32 was best
-# everywhere, 8 being up to 40% slower than 16 at 1500 letters and 32 twice as slow at 10k.
+# 100 to 40k letters).  So a level is sieved once it holds at least len(g) / 16 candidates:
+# every level from 3 on for |g| <= 576, none up to length 6 for 40k.  On misses at bounds
+# 5-7 over 600-25k letters no value of 8-32 was best everywhere: 8 was up to 40% slower
+# than 16 at 1500 letters, and 32 twice as slow at 10k and bound 5.
 _LETTERS_PER_CANDIDATE = 16
 
 
@@ -210,19 +208,17 @@ def search_square_pair(g, bound):
 
     Returns (a, b, checked) on a hit, else (None, None, checked), where
     checked counts the candidate a's examined.  b is the square root of
-    a^-2 g and is not length-limited.  If the largest cached level within
-    the bound holds at least len(g) / 16 candidates, then on every cached
-    level from length 3 on only the a that survive every quotient's sieve
-    are tested; the others cannot be witnesses, and still count in checked.
+    a^-2 g and is not length-limited.  On a cached level from length 3 on
+    that holds at least len(g) / 16 candidates, only the a that survive
+    every quotient's sieve are tested; the others cannot be witnesses, and
+    still count in checked.
     """
-    top = min(bound, _CACHED_LEVELS)
-    sieved = top >= _FIRST_SIEVED and 4 * 3 ** (top - 1) * _LETTERS_PER_CANDIDATE >= len(g)
     checked = 0
     g_images = None
     for n in range(bound + 1):
         size = 4 * 3 ** (n - 1) if n else 1
         candidates = enumerate(_level(n))
-        if sieved and _FIRST_SIEVED <= n <= _CACHED_LEVELS:
+        if _FIRST_SIEVED <= n <= _CACHED_LEVELS and size * _LETTERS_PER_CANDIDATE >= len(g):
             if g_images is None:
                 g_images = [q.fold(g) for q in _quotients()]
             candidates = compress(candidates, _survivors(n, g_images))

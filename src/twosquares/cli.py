@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
         p.add_argument("word", help="word expression, e.g. '[x,y]' or 'x^2yX^2Y'")
         for name, kind, default, extra in options:
             if kind is bool:
-                p.add_argument(name, action="store_true", **extra)
+                p.add_argument(name, action="store_true", default=default, **extra)
             elif kind is int:
                 p.add_argument(name, type=int, default=default, **extra)
             else:

@@ -341,8 +341,8 @@ class TestQuotientSieve:
     @pytest.mark.parametrize("letters_per_candidate", [0, 10**9])
     def test_where_the_sieve_starts_changes_no_result(self, monkeypatch, letters_per_candidate):
         # 0 sieves no level and 10**9 every level from length 3 on; by default the
-        # a^2 b^2 of about 720 letters at bound 5 and the words of about 25k letters
-        # at bound 7 sieve from length 3 on
+        # a^2 b^2 of about 720 letters test length 3 unsieved and sieve from length 4
+        # on, and the words of about 25k letters at bound 7 sieve only length 7
         rng = random.Random(11)
         b = ref_reduce(bytes(rng.randrange(4) for _ in range(700)))
         long_b = ref_reduce(bytes(rng.randrange(4) for _ in range(25000)))
