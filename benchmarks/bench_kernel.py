@@ -10,7 +10,7 @@ import argparse
 import random
 import time
 
-from twosquares import kernel
+from twosquares import kernel, quotients
 
 
 def random_codes(rng, length):
@@ -43,6 +43,11 @@ def bench_square_root(data):
 
 def bench_search(data):
     return [kernel.search_square_pair(g, bound) for g, bound in data]
+
+
+def bench_fold(data):
+    """The images of each word under the four maps onto SL(2,3)."""
+    return [quotients.images(g) for g in data]
 
 
 def bench_enumerate(n):
@@ -87,6 +92,11 @@ def make_workloads(rng):
          bench_search, [(random_reduced_codes(rng, 40000), 5) for _ in range(5)]),
         ("sweep (|g| <= 7, bound 4)",
          bench_sweep, (7, 4)),
+        # drawn last, so that they change none of the words drawn for the rows above
+        ("fold into 4 maps (5000 x len 28)",
+         bench_fold, [random_reduced_codes(rng, 28) for _ in range(5000)]),
+        ("fold into 4 maps (5 x len 40000)",
+         bench_fold, [random_reduced_codes(rng, 40000) for _ in range(5)]),
     ]
 
 

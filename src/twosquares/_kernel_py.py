@@ -9,6 +9,8 @@ and always return reduced words.  ``kernel`` re-exports these names.
 import functools
 from itertools import compress
 
+from .quotients import images, maps
+
 BACKEND = "python"
 
 
@@ -110,81 +112,18 @@ def _level(n):
     return map(_with_inverse_square, words_of_length(n))
 
 
-class _Quotient:
-    """The finite quotient of the free group sending x, y to 2x2 matrices x_image, y_image mod 3.
-
-    Both images must have determinant 1: inverse() assumes it, and the
-    sieve is only sound if the letter X goes to the inverse of x's image.
-    The quotient is the subgroup of SL(2,3) they generate.  Elements are
-    numbered from 0, the identity, in the order found.  right[c][i] is
-    the number of element i times letter c.  good[h] is a bytes.translate
-    table sending u to 1 if u^-2 h is a square and to 0 if not.  A
-    homomorphism maps squares to squares, so if a maps to u and g to h,
-    then g = a^2 b^2 needs good[h][u] == 1.
-    """
-
-    p = 3
-
-    def __init__(self, x_image, y_image):
-        p = self.p
-
-        def times(m, k):
-            a, b, c, d = m
-            e, f, g, h = k
-            return (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p
-
-        def inverse(m):  # the inverse of a matrix of determinant 1
-            a, b, c, d = m
-            return d, -b % p, -c % p, a
-
-        self.letters = (x_image, inverse(x_image), y_image, inverse(y_image))  # x X y Y
-        self.elements = [(1, 0, 0, 1)]
-        index = {self.elements[0]: 0}
-        for m in self.elements:  # appended to while read, until closed under the letters
-            for mk in (times(m, k) for k in self.letters):
-                if mk not in index:
-                    index[mk] = len(self.elements)
-                    self.elements.append(mk)
-        self.right = tuple(bytes(index[times(m, k)] for m in self.elements) for k in self.letters)
-        self.squares = frozenset(index[times(m, m)] for m in self.elements)
-        good = [bytearray(256) for _ in self.elements]
-        for u, m in enumerate(self.elements):
-            u2 = times(m, m)
-            for s in self.squares:  # u^-2 h is the square s iff h = u^2 s
-                good[index[times(u2, self.elements[s])]][u] = 1
-        self.good = tuple(map(bytes, good))
-
-    def fold(self, word):
-        """The number of the image of word."""
-        h = 0
-        for c in word:
-            h = self.right[c][h]
-        return h
-
-
-@functools.cache
-def _quotients():
-    """Four maps of the free group onto SL(2,3), 24 elements each; built by the first sieved search.
-
-    With S = [[0,-1],[1,0]], T = [[1,1],[0,1]] and L = [[1,0],[1,1]] mod 3,
-    (x, y) goes to (T, ST), (T, S), (S, T) and (T, L).  Under one map alone
-    many loop words go to 1, and then every candidate survives, since
-    u^-2 * 1 is a square; these four together sieve every candidate of
-    length 3-5 of the 240 loop words of length 10 that end Unknown at bound 5.
-    """
-    s, t, l, st = (0, 2, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 2, 1, 1)
-    return tuple(_Quotient(x, y) for x, y in ((t, st), (t, s), (s, t), (t, l)))
-
-
 # The sieve starts at length 3 at the earliest: levels 0-2 hold 17 candidates, and a
 # search that stops there builds no table.
 _FIRST_SIEVED = 3
-# Folding g into the four quotients takes about 110-130 ns a letter; the sieve skips about
-# 95% of a level's candidates on random words, each costing 0.8-3.8 us to test (|g| from
-# 100 to 40k letters).  So a level is sieved once it holds at least len(g) / 16 candidates:
-# every level from 3 on for |g| <= 576, none up to length 6 for 40k.  On misses at bounds
-# 5-7 over 600-25k letters no value of 8-32 was best everywhere: 8 was up to 40% slower
-# than 16 at 1500 letters, and 32 twice as slow at 10k and bound 5.
+# The sieve skips about 95% of a level's candidates on random words, each costing 0.8-3.8
+# us to test (|g| from 100 to 40k letters).  A level is sieved once it holds at least
+# len(g) / 16 candidates: every level from 3 on for |g| <= 576, none up to length 6 for
+# 40k.  Timed with a one-letter fold (110-130 ns a letter), no value of 8-32 was best
+# everywhere on misses at bounds 5-7 over 600-25k letters: 8 was up to 40% slower than 16
+# at 1500 letters, and 32 twice as slow at 10k and bound 5.  With the 4-letter fold
+# (quotients.pack, 30-45 ns a letter), 64 made those misses faster in 26 of 30 cases.  16
+# stays: a larger value also makes short hits on long words pay the fold first, and no
+# benchmark workload searches long words at bound 3 or more.
 _LETTERS_PER_CANDIDATE = 16
 
 
@@ -192,35 +131,39 @@ _LETTERS_PER_CANDIDATE = 16
 def _cached_images(n):
     """For each quotient, the image of each a in _cached_level(n), one byte per a."""
     level = _cached_level(n)
-    return tuple(bytes(q.fold(a) for a, _ in level) for q in _quotients())
+    # at most 8 letters: too short to gain from packing, so folded letter by letter
+    return tuple(bytes(q.fold(b"", a) for a, _ in level) for q in maps())
 
 
 def _survivors(n, g_images):
     """One byte per a in _cached_level(n): nonzero unless a quotient rules that a out."""
     sel = -1
-    for q, images, h in zip(_quotients(), _cached_images(n), g_images):
+    for q, images, h in zip(maps(), _cached_images(n), g_images):
         sel &= int.from_bytes(images.translate(q.good[h]), "little")
     return sel.to_bytes(len(images), "little")
 
 
-def search_square_pair(g, bound):
+def search_square_pair(g, bound, g_images=None):
     """Shortlex search for (a, b) with a*a*b*b == g and len(a) <= bound.
 
     Returns (a, b, checked) on a hit, else (None, None, checked), where
     checked counts the candidate a's examined.  b is the square root of
-    a^-2 g and is not length-limited.  On a cached level from length 3 on
-    that holds at least len(g) / 16 candidates, only the a that survive
-    every quotient's sieve are tested; the others cannot be witnesses, and
-    still count in checked.
+    a^-2 g and is not length-limited.  On a cached level from length 3 on,
+    only the a that survive every quotient's sieve are tested; the others
+    cannot be witnesses, and still count in checked.  g_images, if given,
+    must be quotients.images(g); then every such level is sieved, else
+    only those that hold at least len(g) / 16 candidates, and g is folded
+    on the first of them.
     """
     checked = 0
-    g_images = None
     for n in range(bound + 1):
         size = 4 * 3 ** (n - 1) if n else 1
         candidates = enumerate(_level(n))
-        if _FIRST_SIEVED <= n <= _CACHED_LEVELS and size * _LETTERS_PER_CANDIDATE >= len(g):
+        if _FIRST_SIEVED <= n <= _CACHED_LEVELS and (
+            g_images is not None or size * _LETTERS_PER_CANDIDATE >= len(g)
+        ):
             if g_images is None:
-                g_images = [q.fold(g) for q in _quotients()]
+                g_images = images(g)
             candidates = compress(candidates, _survivors(n, g_images))
         for i, (a, ia2) in candidates:
             s = square_root(mul(ia2, g))

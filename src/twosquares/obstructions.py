@@ -11,7 +11,9 @@ criterion: write P = (x-1)^k (y-1)^l h with k, l maximal; h(1, 1), the
 Taylor coefficient of (x-1)^k (y-1)^l in P at (1, 1), must again be even
 for a product of two squares.  On any word g'(1) is the signed area of
 its path, so psi_1's parity extends off the loops: exponent sums both
-0 mod 4 and an odd area refute.  All criteria are one-sided: they can
+0 mod 4 and an odd area refute.  Last, any word whose image under four
+maps onto SL(2,3) is not a product of two squares in their joint image
+is refuted (``quotients``).  All criteria are one-sided: they can
 refute, never confirm.
 """
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple, Optional
 
+from . import quotients
 from .cover import ChainPair, homology_image, lift_chain
 from .laurent import Laurent1
 from .oracle import SearchOutcome, Witness, _search_bound, search_with_stats
@@ -31,6 +34,11 @@ DEFAULT_DEPTH = 8
 MAX_DEPTH = 10_000
 
 _VERDICT_KINDS = ("TwoSquares", "NotTwoSquares", "Unknown")
+
+JOINT_IMAGE_REASON = (
+    "its image under the four mod-3 maps onto SL(2,3) is not a product of two squares"
+    f" in their joint image (order {quotients.JOINT_ORDER})"
+)
 
 
 class FirstObstruction(NamedTuple):
@@ -205,10 +213,11 @@ def analyze(
 
     Precedence: an odd exponent sum proves NotTwoSquares, since every
     a^2 b^2 has even ones; so do sums both 0 mod 4 with an odd signed
-    area (README gives the proof) and, on a loop word, an odd
-    obstruction.  The search is skipped then: it could only confirm
-    absence.  Otherwise a search hit gives TwoSquares with a re-verified
-    witness; otherwise Unknown.  The ladder and the factor criterion run
+    area (README gives the proof), on a loop word an odd obstruction,
+    and then on any word an image in the four maps' joint image that is
+    not u^2 v^2 there (``quotients``).  The search is skipped then: it
+    could only confirm absence.  Otherwise a search hit gives TwoSquares
+    with a re-verified witness; otherwise Unknown.  The ladder and the factor criterion run
     only on loop words, since the obstruction theory lives on the
     commutator subgroup.  side selects which of the factor criterion's
     reports are kept: "P", "Q", "both".  The Q side restates the P side
@@ -256,11 +265,15 @@ def analyze(
 
     search: Optional[SearchOutcome] = None
     if verdict is None:
-        search = search_with_stats(w, bound)
-        if search.witness is not None:
-            verdict = Verdict("TwoSquares", witness=search.witness)
+        g_images = quotients.images(w.codes)
+        if quotients.refutes(g_images):
+            verdict = Verdict("NotTwoSquares", reason=JOINT_IMAGE_REASON)
         else:
-            verdict = Verdict("Unknown", reason=f"{inconclusive}; {search.describe_miss()}")
+            search = search_with_stats(w, bound, g_images)
+            if search.witness is not None:
+                verdict = Verdict("TwoSquares", witness=search.witness)
+            else:
+                verdict = Verdict("Unknown", reason=f"{inconclusive}; {search.describe_miss()}")
 
     return ObstructionReport(
         word=w,

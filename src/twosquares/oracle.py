@@ -7,9 +7,9 @@ checkable in linear time.  The length bound applies to a only, so a miss
 means "no witness with |a| <= bound", never a proof of impossibility.
 
 The kernel may skip a candidate it can rule out early (its candidate
-table and finite-quotient sieve are described in ``_kernel_py``), but
-skipped candidates still count in ``checked``, so every witness, count
-and output is what the plain shortlex scan gives.
+table and finite-quotient sieve are described in ``_kernel_py`` and
+``quotients``), but skipped candidates still count in ``checked``, so
+every witness, count and output is what the plain shortlex scan gives.
 """
 
 from __future__ import annotations
@@ -71,14 +71,18 @@ def _search_bound(g: Word, bound: Optional[int]) -> int:
     return min(len(g), DEFAULT_BOUND_CAP) if bound is None else bound
 
 
-def search_with_stats(g: Word, bound: Optional[int] = None) -> SearchOutcome:
+def search_with_stats(
+    g: Word, bound: Optional[int] = None, g_images: Optional[tuple[int, ...]] = None
+) -> SearchOutcome:
     """The shortlex-least witness g = a^2 b^2 with |a| <= bound, and the a's tried.
 
     The bound defaults to |g|, at most DEFAULT_BOUND_CAP.  No witness is
     inconclusive: it rules out witnesses with |a| <= bound only.
+    g_images, if given, must be quotients.images(g.codes), so that the
+    sieve need not fold g again.
     """
     bound = _search_bound(g, bound)
-    a, b, checked = kernel.search_square_pair(g.codes, bound)
+    a, b, checked = kernel.search_square_pair(g.codes, bound, g_images)
     if a is None:
         return SearchOutcome(None, checked, bound)
     witness = Witness(Word._from_reduced(a), Word._from_reduced(b))

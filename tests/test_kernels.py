@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twosquares
-from twosquares import _kernel_py, analyze, enumerate_reduced, in_commutator_subgroup, kernel
+from twosquares import _kernel_py, analyze, enumerate_reduced, in_commutator_subgroup, kernel, quotients
 from twosquares.kernel import inv, mul, reduce_word, search_square_pair, square_root, words_of_length
+from twosquares.obstructions import JOINT_IMAGE_REASON
 
 _TO_CHARS = bytes.maketrans(bytes(range(4)), b"xXyY")
 _TO_CODES = bytes.maketrans(b"xXyY", bytes(range(4)))
@@ -198,7 +199,7 @@ def test_pure_search_basics():
 
 
 def clear_search_caches():
-    for cached in (_kernel_py._cached_level, _kernel_py._quotients, _kernel_py._cached_images):
+    for cached in (_kernel_py._cached_level, quotients.maps, _kernel_py._cached_images):
         cached.cache_clear()
 
 
@@ -236,9 +237,9 @@ class TestCandidateTable:
         assert [a is not None for a, _, _ in cold] == [False, True, True]
 
     def test_import_builds_no_level(self):
-        code = ("import twosquares; from twosquares import _kernel_py as k; "
+        code = ("import twosquares; from twosquares import _kernel_py as k, quotients as q; "
                 "print([f.cache_info().currsize for f in "
-                "(k._cached_level, k._quotients, k._cached_images)])")
+                "(k._cached_level, q.maps, k._cached_images)])")
         # the same package as this process, whether installed or on PYTHONPATH
         env = {**os.environ, "PYTHONPATH": str(Path(twosquares.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -283,19 +284,25 @@ def image(q, codes):
 
 @functools.cache
 def searched_loop_words():
-    """The loop words of length <= 10 that analyze(bound=5) sends to the search, by verdict kind."""
+    """The loop words of length <= 10 that no parity test refutes, by whether the search finds a witness.
+
+    "Unknown" holds those it misses at bound 5: analyze refutes them
+    through the four maps' joint image instead, and no longer searches.
+    """
     by_kind = {"TwoSquares": [], "Unknown": []}
     for g in enumerate_reduced(10):
         if in_commutator_subgroup(g):
-            kind = analyze(g, bound=5).verdict.kind
-            if kind in by_kind:
-                by_kind[kind].append(g.codes)
+            verdict = analyze(g, bound=5).verdict
+            if verdict.kind == "TwoSquares":
+                by_kind["TwoSquares"].append(g.codes)
+            elif verdict.reason == JOINT_IMAGE_REASON:
+                by_kind["Unknown"].append(g.codes)
     return by_kind
 
 
 def kept_at_lengths_3_to_5(g):
     """How many of the 468 candidates of length 3-5 survive the sieve for g."""
-    g_images = [q.fold(g) for q in _kernel_py._quotients()]
+    g_images = quotients.images(g)
     kept = 0
     for n in range(3, 6):
         sel = _kernel_py._survivors(n, g_images)
@@ -310,13 +317,13 @@ class TestQuotientSieve:
     def test_quotient_sizes(self):
         s, t, l, st = (0, 2, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 2, 1, 1)
         assert [(q.p, q.letters[0], q.letters[2], len(q.elements), len(q.squares))
-                for q in _kernel_py._quotients()] == [
+                for q in quotients.maps()] == [
             (3, t, st, 24, 10), (3, t, s, 24, 10), (3, s, t, 24, 10), (3, t, l, 24, 10)]
 
     @pytest.mark.parametrize("which", range(4))
     def test_good_keeps_every_witness_image(self, which):
         # the sieve's lemma: if h = u^2 v^2 then u^-2 h is a square, so u survives
-        q = _kernel_py._quotients()[which]
+        q = quotients.maps()[which]
         number = {m: i for i, m in enumerate(q.elements)}
         kept = set()
         for u, mu in enumerate(q.elements):
@@ -330,13 +337,16 @@ class TestQuotientSieve:
 
     def test_letter_images_are_a_homomorphism(self):
         short = reduced_up_to(3)
-        for q in _kernel_py._quotients():
-            assert all(q.elements[q.fold(u)] == image(q, u) for u in short)
+        for q in quotients.maps():
+            def fold(u):
+                return q.fold(*quotients.pack(u))
+
+            assert all(q.elements[fold(u)] == image(q, u) for u in short)
             for u in short:
-                mu = q.elements[q.fold(u)]
-                assert q.elements[q.fold(inv(u))] == mat_inv(mu, q.p)
+                mu = q.elements[fold(u)]
+                assert q.elements[fold(inv(u))] == mat_inv(mu, q.p)
                 for v in short:
-                    assert q.elements[q.fold(mul(u, v))] == mat_mul(mu, q.elements[q.fold(v)], q.p)
+                    assert q.elements[fold(mul(u, v))] == mat_mul(mu, q.elements[fold(v)], q.p)
 
     @pytest.mark.parametrize("letters_per_candidate", [0, 10**9])
     def test_where_the_sieve_starts_changes_no_result(self, monkeypatch, letters_per_candidate):
@@ -356,6 +366,29 @@ class TestQuotientSieve:
         assert [checked for _, _, checked in default] == [36, 108, 324, 485, 36, 4373]
         monkeypatch.setattr(_kernel_py, "_LETTERS_PER_CANDIDATE", letters_per_candidate)
         assert [search_square_pair(g, bound) for g, bound in targets] == default
+
+    def test_given_images_change_no_result(self):
+        # with g's images given, every cached level from length 3 on is sieved
+        rng = random.Random(12)
+        targets = [ref_reduce(bytes(rng.randrange(4) for _ in range(n))) for n in (6, 700, 25000)]
+        a = next(words_of_length(4))
+        targets += [mul(mul(a, a), mul(g, g)) for g in targets]
+        for g in targets:
+            assert search_square_pair(g, 6, quotients.images(g)) == search_square_pair(g, 6)
+
+    def test_packed_fold_is_the_letter_fold(self):
+        # every length mod 4 up to 40, and long words, whose packed bytes take all 256 values
+        rng = random.Random(13)
+        targets = [bytes(rng.randrange(4) for _ in range(n)) for n in list(range(41)) * 3]
+        targets += [bytes(rng.randrange(4) for _ in range(n)) for n in (4000, 4001, 4002, 4003)]
+        for g in targets:
+            want = []
+            for q in quotients.maps():
+                h = 0
+                for c in g:
+                    h = q.right[c][h]
+                want.append(h)
+            assert quotients.images(g) == tuple(want), g
 
     def test_sieve_rejects_most_candidates_of_the_unknown_loop_words(self):
         unknown = [g for g in searched_loop_words()["Unknown"] if len(g) == 10]

@@ -21,7 +21,7 @@ from twosquares import (
     phi,
     search_with_stats,
 )
-from twosquares.obstructions import MAX_DEPTH
+from twosquares.obstructions import JOINT_IMAGE_REASON, MAX_DEPTH
 
 from conftest import random_loop, random_reduced
 
@@ -328,6 +328,7 @@ class TestSignedArea:
 
     def test_refutes_exactly_464_words_up_to_length_8(self):
         refuted = {}
+        joint = 0
         for g in enumerate_reduced(8):
             s, t = abelianize(g)
             if s % 2 or t % 2 or (s, t) == (0, 0):
@@ -340,6 +341,8 @@ class TestSignedArea:
                 ), g
                 assert search_with_stats(g, 5).witness is None, g
                 refuted[len(g)] = refuted.get(len(g), 0) + 1
+            elif verdict.reason == JOINT_IMAGE_REASON:
+                joint += 1  # the next test in line; tests/test_quotients.py checks these
             else:
                 assert verdict.kind != "NotTwoSquares", g
                 if verdict.kind == "Unknown":
@@ -347,6 +350,7 @@ class TestSignedArea:
                                if s % 4 == t % 4 == 0 else "!= (0, 0): obstruction tests do not apply")
                     assert verdict.reason.startswith(f"exponent sums {(s, t)} {applied}; "), g
         assert refuted == {6: 48, 8: 416}
+        assert joint == 64
 
     def test_shortest_example(self):
         report = analyze(parse("x^3yxY"))

@@ -78,7 +78,7 @@ class TestSearch:
 
     def test_wrong_kernel_pair_is_rejected(self, monkeypatch):
         # an explicit check, not an assert, so it also runs under python -O
-        monkeypatch.setattr(kernel, "search_square_pair", lambda codes, bound: (b"\x00", b"", 1))
+        monkeypatch.setattr(kernel, "search_square_pair", lambda *args: (b"\x00", b"", 1))
         with pytest.raises(RuntimeError, match="does not multiply"):
             search_with_stats(parse("[x^2,y]"), 3)
 
