@@ -2,15 +2,16 @@
 
 Usage: python3 benchmarks/bench_kernel.py [--repeats N]
 
-Each workload runs against twosquares.kernel and reports the best
-wall time of N runs.
+Each workload runs against twosquares.kernel (the last against parse,
+on the run-length form str(Word) prints) and reports the best wall
+time of N runs.
 """
 
 import argparse
 import random
 import time
 
-from twosquares import kernel, quotients
+from twosquares import Word, kernel, parse, quotients
 
 
 def random_codes(rng, length):
@@ -48,6 +49,10 @@ def bench_search(data):
 def bench_fold(data):
     """The images of each word under the four maps onto SL(2,3)."""
     return [quotients.images(g) for g in data]
+
+
+def bench_parse(data):
+    return [parse(expr) for expr in data]
 
 
 def bench_enumerate(n):
@@ -97,6 +102,9 @@ def make_workloads(rng):
          bench_fold, [random_reduced_codes(rng, 28) for _ in range(5000)]),
         ("fold into 4 maps (5 x len 40000)",
          bench_fold, [random_reduced_codes(rng, 40000) for _ in range(5)]),
+        # the form str(Word) prints, in which the workloads' words reach parse
+        ("parse run-length (5 x len 40000)",
+         bench_parse, [str(Word(random_reduced_codes(rng, 40000))) for _ in range(5)]),
     ]
 
 

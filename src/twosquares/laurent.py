@@ -106,7 +106,7 @@ class Laurent1(_Sparse):
         return [[n, self._terms[n]] for n in sorted(self._terms)]
 
     def to_str(self, var: str = "t") -> str:
-        return _render([((n,), c) for n, c in sorted(self._terms.items())], (var,))
+        return _render([((n,), self._terms[n]) for n in sorted(self._terms)], (var,))
 
     def __str__(self) -> str:
         return self.to_str()
@@ -183,7 +183,7 @@ class Laurent2(_Sparse):
         return [[i, j, self._terms[(i, j)]] for i, j in sorted(self._terms)]
 
     def __str__(self) -> str:
-        return _render(sorted(self._terms.items()), ("x", "y"))
+        return _render([(k, self._terms[k]) for k in sorted(self._terms)], ("x", "y"))
 
     def __repr__(self) -> str:
         return f"Laurent2('{self}')"

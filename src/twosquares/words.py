@@ -158,16 +158,23 @@ def parse(expr: str) -> Word:
     ignored, and both "e" and "" denote the identity.  An exponent is an
     optional "-" directly followed by decimal digits.
 
-    One left-to-right pass with an explicit stack of open groups, reducing
-    as it goes: the time is linear in the input plus the total length of
-    the group values built, and nesting depth is not bounded by the
-    recursion limit.
+    A flat expression, the form ``str(Word)`` prints (letters, each with
+    an optional exponent of ASCII digits without a leading 0, and no
+    letter next to its inverse), is read in one regex split.  Any other
+    expression, and a flat one past MAX_LETTERS, takes one left-to-right
+    pass with an explicit stack of open groups, reducing as it goes: the
+    time is linear in the input plus the total length of the group values
+    built, and nesting depth is not bounded by the recursion limit.  Both
+    reads give the same Word; only the pass raises ParseError.
 
     >>> parse("[x,y]")
     Word('xyXY')
     >>> parse("[x^2,y^3]")
     Word('x^2y^3X^2Y^3')
     """
+    codes = _read_flat(expr)
+    if codes is not None:
+        return Word._from_reduced(codes)
     buf = bytearray()  # reduced codes of the innermost open group
     stack = []  # enclosing groups: (opener, position, outer buf, left factor)
     held = 0  # letters in the outer bufs and left factors on the stack
@@ -266,6 +273,39 @@ _TOKEN = re.compile(r"\s*(?:([xXyYe)\]])(?:\s*\^\s*(-?)(\d*))?|(\S))")
 
 _LETTER = tuple(bytes((c,)) for c in range(4))
 _TOO_LONG = f"word longer than {MAX_LETTERS} letters"
+
+# The flat read.  An exponent there is ASCII digits without a leading 0,
+# so it is at least 1 and its power is a run of one letter: the word is
+# reduced when its skeleton (the expression without its exponents) is
+# letters only, with no letter next to its inverse.  One split cuts the
+# expression into [text, letter, digits, text, letter, digits, ..., text].
+# An exponent is read to at most 7 digits, so int() stays cheap: a longer
+# one is past MAX_LETTERS anyway, and its 8th digit stays in the skeleton,
+# which sends the expression to the token loop.
+_FLAT_POWER = re.compile(r"([xXyY])\^([1-9][0-9]{0,6})")
+_FLAT_SKELETON = re.compile(r"[xXyY]+")
+_FLAT_CODES = bytes.maketrans(b"xXyY", bytes(range(4)))
+
+
+def _read_flat(expr: str) -> Optional[bytes]:
+    """The reduced codes of a flat expression, or None for any other.
+
+    None also for a flat word longer than MAX_LETTERS, which is counted
+    before it is built; the token loop then refuses it with its position.
+    """
+    parts = _FLAT_POWER.split(expr)
+    digits = parts[2::3]
+    del parts[2::3]
+    skeleton = "".join(parts)
+    if not _FLAT_SKELETON.fullmatch(skeleton):
+        return None
+    if "xX" in skeleton or "Xx" in skeleton or "yY" in skeleton or "Yy" in skeleton:
+        return None
+    powers = list(map(int, digits))
+    if len(skeleton) + sum(powers) - len(powers) > MAX_LETTERS:
+        return None
+    parts[1::2] = map(str.__mul__, parts[1::2], powers)
+    return "".join(parts).encode().translate(_FLAT_CODES)
 
 
 def _exponent(sign: str, digits: str, start: int) -> int:

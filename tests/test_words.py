@@ -306,6 +306,7 @@ class TestSeams:
 
 
 FUZZ_ALPHABET = "xXyYe()[],^-0123 9"
+FLAT_FUZZ_ALPHABET = "xXyY^0123456789"
 
 
 def parse_outcome(parser, expr):
@@ -347,6 +348,16 @@ class TestParseAgainstReference:
                 assert_same_outcome(expr)
                 compared += 1
         assert compared > 19_000
+        # letters, carets and digits only: the inputs the flat read
+        # accepts, and those it declines by one character
+        compared = flat = 0
+        for _ in range(20_000):
+            expr = "".join(rng.choice(FLAT_FUZZ_ALPHABET) for _ in range(rng.randint(1, 20)))
+            if small_exponents(expr):
+                assert_same_outcome(expr)
+                compared += 1
+                flat += twosquares.words._read_flat(expr) is not None
+        assert compared > 9_000 and flat > 300
 
     @settings(max_examples=500, deadline=None)
     @given(st.text(FUZZ_ALPHABET, min_size=1, max_size=13).filter(small_exponents))
@@ -360,6 +371,50 @@ class TestParseAgainstReference:
         assert small_exponents(expr)
         assert len(reference_parse(expr)) > MAX_LETTERS
         assert_same_outcome(expr)
+
+
+class TestFlatRead:
+    """Run-length expressions, the form str(Word) prints, are read in one split."""
+
+    def test_run_length_forms_parse_to_their_letters(self, rng):
+        for _ in range(40):
+            w = random_reduced(rng, rng.randint(200, 5000))
+            letters = "".join("xXyY"[c] for c in w.codes)
+            assert twosquares.words._read_flat(str(w)) == w.codes
+            assert parse(str(w)) == Word(letters)
+
+    @pytest.mark.parametrize("expr", [
+        "x^0y", "yx^0Y", "x^01", "x^٣", "x ^2", "x^-2y", "x^2^3", "xX",
+        "x^3X^2y", "ex", "x^1048576", "x^1048576y", "x^1048577", "",
+    ])
+    def test_near_flat_matches_reference(self, expr):
+        assert_same_outcome(expr)
+
+    @pytest.mark.parametrize("expr, position", [
+        ("x^1048576y", 9),
+        ("x^1048577", 0),
+        ("x^1234567890123456789", 0),  # too long for the reference parser to build
+        pytest.param("xy" * 524289, 1048576, id="(xy)*524289 written out"),
+    ])
+    def test_past_the_cap_refused_by_the_token_loop(self, expr, position):
+        assert twosquares.words._read_flat(expr) is None
+        with pytest.raises(ParseError) as info:
+            parse(expr)
+        assert str(info.value) == f"word longer than 1048576 letters (position {position})"
+
+    def test_peak_memory(self, rng):
+        # the split's pieces peaked at 1.2 MB (Python 3.11); a run token
+        # inside the token loop's regex held 7.4 MB of match state
+        w = random_reduced(rng, 40_000)
+        expr = str(w)
+        tracemalloc.start()
+        try:
+            got = parse(expr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == w
+        assert peak < 2 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
 
 
 class TestGroupOps:
