@@ -2,16 +2,16 @@
 
 Usage: python3 benchmarks/bench_kernel.py [--repeats N]
 
-Each workload runs against twosquares.kernel (the last against parse,
-on the run-length form str(Word) prints) and reports the best wall
-time of N runs.
+Each workload runs against twosquares.kernel (the last three against
+parse, on the run-length form str(Word) prints, then lift_chain and
+str(Word)) and reports the best wall time of N runs.
 """
 
 import argparse
 import random
 import time
 
-from twosquares import Word, kernel, parse, quotients
+from twosquares import Word, kernel, lift_chain, parse, quotients
 
 
 def random_codes(rng, length):
@@ -53,6 +53,15 @@ def bench_fold(data):
 
 def bench_parse(data):
     return [parse(expr) for expr in data]
+
+
+def bench_lift(data):
+    return [lift_chain(w) for w in data]
+
+
+def bench_str(data):
+    """A fresh Word per run, so that no run reads the text an earlier one kept."""
+    return [str(Word._from_reduced(codes)) for codes in data]
 
 
 def bench_enumerate(n):
@@ -105,6 +114,10 @@ def make_workloads(rng):
         # the form str(Word) prints, in which the workloads' words reach parse
         ("parse run-length (5 x len 40000)",
          bench_parse, [str(Word(random_reduced_codes(rng, 40000))) for _ in range(5)]),
+        ("lift_chain (5 x len 40000)",
+         bench_lift, [Word(random_reduced_codes(rng, 40000)) for _ in range(5)]),
+        ("str(Word) (5 x len 40000)",
+         bench_str, [random_reduced_codes(rng, 40000) for _ in range(5)]),
     ]
 
 

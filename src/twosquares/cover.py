@@ -61,21 +61,45 @@ def lift_chain(w: Word) -> ChainPair:
     adds -x^i y^j at the point (i, j) it reaches; likewise y and y^-1
     with Q.  Defined for any word; it is a cycle exactly when both
     exponent sums vanish.
+
+    The walk names the point (i, j) by the int i*width + j, with
+    width = 2|w| + 1, so |j| <= |w| keeps the names apart and their
+    order is the (i, j) order.  Each nonzero edge is decoded to (i, j)
+    once, in sorted order, so P and Q hold their terms sorted.
     """
-    chain: tuple[dict[tuple[int, int], int], ...] = ({}, {})
-    i = j = 0
-    for code in w.codes:
-        side, sign, di, dj = _STEPS[code]
-        ni, nj = i + di, j + dj
-        edge = (i, j) if sign > 0 else (ni, nj)
-        terms = chain[side]
-        s = terms.get(edge, 0) + sign
-        if s:
-            terms[edge] = s
-        else:
-            del terms[edge]
-        i, j = ni, nj
-    return ChainPair(Laurent2._raw(chain[0]), Laurent2._raw(chain[1]))
+    codes = w.codes
+    n = len(codes)
+    width = 2 * n + 1
+    chain: tuple[dict[int, int], ...] = ({}, {})
+    # per letter code: its side's terms, its sign, its step between names,
+    # and the step to its edge's name (an inverse letter's edge is named
+    # by the point it reaches)
+    table = [
+        (chain[side], sign, step, step if sign < 0 else 0)
+        for side, sign, di, dj in _STEPS
+        for step in (di * width + dj,)
+    ]
+    p = 0
+    for code in codes:
+        terms, sign, step, to_edge = table[code]
+        edge = p + to_edge
+        terms[edge] = terms.get(edge, 0) + sign
+        p += step
+    return ChainPair(
+        Laurent2._raw(_decode(chain[0], n, width)), Laurent2._raw(_decode(chain[1], n, width))
+    )
+
+
+def _decode(terms: dict[int, int], n: int, width: int) -> dict[tuple[int, int], int]:
+    """The nonzero terms of a walk over n letters, keyed by (i, j) instead
+    of i*width + j, in sorted order."""
+    out = {}
+    for key in sorted(terms):
+        c = terms[key]
+        if c:
+            i = (key + n) // width
+            out[i, key - i * width] = c
+    return out
 
 
 def lift_trace(w: Word) -> list[tuple[int, int]]:

@@ -41,7 +41,8 @@ class Word:
     Accepts a plain letter string over xXyY, a bytes string of letter
     codes, or an iterable of codes; reduction happens here, so every Word
     is canonical.  Immutable by convention: no method mutates, all
-    operations return fresh words.
+    operations return fresh words.  The text str() prints is built on
+    first use and kept.
 
     >>> Word("xX")
     Word('e')
@@ -49,7 +50,7 @@ class Word:
     Word('x^2')
     """
 
-    __slots__ = ("_letters",)
+    __slots__ = ("_letters", "_text")
 
     def __init__(self, letters: Union[str, Iterable[int]] = b""):
         if isinstance(letters, str):
@@ -64,11 +65,14 @@ class Word:
         if any(c > 3 for c in codes):
             raise ValueError("letter codes must be in 0..3")
         self._letters = kernel.reduce_word(codes)
+        self._text = None
 
     @classmethod
-    def _from_reduced(cls, data: bytes) -> "Word":
+    def _from_reduced(cls, data: bytes, text: Optional[str] = None) -> "Word":
+        """The Word of reduced codes; text, if given, must be what str() prints."""
         w = cls.__new__(cls)
         w._letters = data
+        w._text = text
         return w
 
     @property
@@ -99,6 +103,8 @@ class Word:
         return Word._from_reduced(_power(self._letters, n, _peel(self._letters)))
 
     def __str__(self) -> str:
+        if self._text is not None:
+            return self._text
         if not self._letters:
             return "e"
         parts = []
@@ -111,7 +117,8 @@ class Word:
                 parts.append(run_char if run_len == 1 else f"{run_char}^{run_len}")
                 run_char, run_len = ch, 1
         parts.append(run_char if run_len == 1 else f"{run_char}^{run_len}")
-        return "".join(parts)
+        self._text = "".join(parts)
+        return self._text
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
@@ -160,7 +167,9 @@ def parse(expr: str) -> Word:
 
     A flat expression, the form ``str(Word)`` prints (letters, each with
     an optional exponent of ASCII digits without a leading 0, and no
-    letter next to its inverse), is read in one regex split.  Any other
+    letter next to its inverse), is read in one regex split; if it is
+    already canonical (no exponent 1, and no letter next to itself), it
+    is also the word's text.  Any other
     expression, and a flat one past MAX_LETTERS, takes one left-to-right
     pass with an explicit stack of open groups, reducing as it goes: the
     time is linear in the input plus the total length of the group values
@@ -172,9 +181,9 @@ def parse(expr: str) -> Word:
     >>> parse("[x^2,y^3]")
     Word('x^2y^3X^2Y^3')
     """
-    codes = _read_flat(expr)
-    if codes is not None:
-        return Word._from_reduced(codes)
+    word = _read_flat(expr)
+    if word is not None:
+        return word
     buf = bytearray()  # reduced codes of the innermost open group
     stack = []  # enclosing groups: (opener, position, outer buf, left factor)
     held = 0  # letters in the outer bufs and left factors on the stack
@@ -277,21 +286,26 @@ _TOO_LONG = f"word longer than {MAX_LETTERS} letters"
 # The flat read.  An exponent there is ASCII digits without a leading 0,
 # so it is at least 1 and its power is a run of one letter: the word is
 # reduced when its skeleton (the expression without its exponents) is
-# letters only, with no letter next to its inverse.  One split cuts the
-# expression into [text, letter, digits, text, letter, digits, ..., text].
+# letters only, with no letter next to its inverse.  It is also the text
+# str() prints when, besides, no exponent is 1 and no letter is next to
+# itself.  Both checks start from one scan for two letters of one axis
+# side by side, which str() never prints.  One split cuts the expression
+# into [text, letter, digits, text, letter, digits, ..., text].
 # An exponent is read to at most 7 digits, so int() stays cheap: a longer
 # one is past MAX_LETTERS anyway, and its 8th digit stays in the skeleton,
 # which sends the expression to the token loop.
 _FLAT_POWER = re.compile(r"([xXyY])\^([1-9][0-9]{0,6})")
 _FLAT_SKELETON = re.compile(r"[xXyY]+")
 _FLAT_CODES = bytes.maketrans(b"xXyY", bytes(range(4)))
+_FLAT_AXES = bytes.maketrans(b"xXyY", b"xxyy")
 
 
-def _read_flat(expr: str) -> Optional[bytes]:
-    """The reduced codes of a flat expression, or None for any other.
+def _read_flat(expr: str) -> Optional[Word]:
+    """The Word of a flat expression, or None for any other.
 
     None also for a flat word longer than MAX_LETTERS, which is counted
     before it is built; the token loop then refuses it with its position.
+    A canonical expression, one str() would print, becomes the word's text.
     """
     parts = _FLAT_POWER.split(expr)
     digits = parts[2::3]
@@ -299,13 +313,18 @@ def _read_flat(expr: str) -> Optional[bytes]:
     skeleton = "".join(parts)
     if not _FLAT_SKELETON.fullmatch(skeleton):
         return None
-    if "xX" in skeleton or "Xx" in skeleton or "yY" in skeleton or "Yy" in skeleton:
+    axes = skeleton.encode().translate(_FLAT_AXES)
+    same_axis = b"xx" in axes or b"yy" in axes
+    if same_axis and (
+        "xX" in skeleton or "Xx" in skeleton or "yY" in skeleton or "Yy" in skeleton
+    ):
         return None
     powers = list(map(int, digits))
     if len(skeleton) + sum(powers) - len(powers) > MAX_LETTERS:
         return None
     parts[1::2] = map(str.__mul__, parts[1::2], powers)
-    return "".join(parts).encode().translate(_FLAT_CODES)
+    codes = "".join(parts).encode().translate(_FLAT_CODES)
+    return Word._from_reduced(codes, None if same_axis or 1 in powers else expr)
 
 
 def _exponent(sign: str, digits: str, start: int) -> int:

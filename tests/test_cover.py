@@ -17,6 +17,7 @@ from twosquares import (
 )
 
 from conftest import random_loop, random_reduced
+from reference_lift import reference_lift
 
 ONE = Laurent2.one()
 X = Laurent2.x()
@@ -61,6 +62,43 @@ class TestLiftChain:
         c = lift_chain(Word("xY"))
         assert c.P == ONE
         assert c.Q == -Laurent2({(1, -1): 1})
+
+
+class TestLiftAgainstReference:
+    """lift_chain's int-keyed walk against the tuple-keyed reference walk."""
+
+    @staticmethod
+    def seeded_words(rng):
+        for _ in range(40):
+            yield random_reduced(rng, rng.randint(0, 5000))
+        for _ in range(10):  # loops of a few thousand letters
+            yield commutator(random_reduced(rng, rng.randint(0, 1500)),
+                             random_reduced(rng, rng.randint(0, 1500)))
+        for _ in range(300):
+            yield random_reduced(rng, rng.randint(0, 20))
+        # the paths that reach the edge of the key range: an edge of w has
+        # |i|, |j| < |w|
+        for n in (1, 2, 7, 5000):
+            yield from (Word("x") ** n, Word("X") ** n, Word("y") ** n, Word("Y") ** n)
+            yield from (Word("y") ** n * Word("x"), Word("Y") ** n * Word("X"))
+            yield commutator(Word("x") ** n, Word("y") ** n)
+            yield commutator(Word("Y") ** n, Word("X") ** n)
+
+    def test_matches_reference(self, rng):
+        loops = open_paths = 0
+        for w in self.seeded_words(rng):
+            assert lift_chain(w) == reference_lift(w), str(w)
+            if abelianize(w) == (0, 0):
+                loops += 1
+            else:
+                open_paths += 1
+        assert loops >= 20 and open_paths >= 200
+
+    def test_terms_in_sorted_order(self, rng):
+        for w in self.seeded_words(rng):
+            c = lift_chain(w)
+            assert list(c.P.items()) == sorted(c.P.items())
+            assert list(c.Q.items()) == sorted(c.Q.items())
 
 
 class TestTrace:
@@ -179,7 +217,7 @@ class TestHomologyImage:
     def test_equal_chains_hash_equal(self):
         # the same chain as lift_chain([x,y]), its terms inserted in another order
         c = lift_chain(parse("[x,y]"))
-        d = ChainPair(Laurent2({(0, 1): -1, (0, 0): 1}), Laurent2({(0, 0): -1, (1, 0): 1}))
+        d = ChainPair(Laurent2({(0, 1): -1, (0, 0): 1}), Laurent2({(1, 0): 1, (0, 0): -1}))
         assert list(c.P.items()) != list(d.P.items())
         assert list(c.Q.items()) != list(d.Q.items())
         assert c == d and hash(c) == hash(d)

@@ -2,6 +2,7 @@
 
 import doctest
 import re
+from itertools import groupby
 import timeit
 import tracemalloc
 
@@ -380,7 +381,7 @@ class TestFlatRead:
         for _ in range(40):
             w = random_reduced(rng, rng.randint(200, 5000))
             letters = "".join("xXyY"[c] for c in w.codes)
-            assert twosquares.words._read_flat(str(w)) == w.codes
+            assert twosquares.words._read_flat(str(w)).codes == w.codes
             assert parse(str(w)) == Word(letters)
 
     @pytest.mark.parametrize("expr", [
@@ -415,6 +416,56 @@ class TestFlatRead:
             tracemalloc.stop()
         assert got == w
         assert peak < 2 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
+
+
+def text_of_letters(codes):
+    """The run-length text of reduced codes, by itertools.groupby."""
+    runs = [(ch, len(list(group))) for ch, group in groupby("xXyY"[c] for c in codes)]
+    return "".join(ch if n == 1 else f"{ch}^{n}" for ch, n in runs) or "e"
+
+
+flat_expressions = st.lists(
+    st.tuples(st.sampled_from("xXyY"), st.one_of(st.none(), st.integers(1, 30))), max_size=12
+).map(lambda runs: "".join(ch if n is None else f"{ch}^{n}" for ch, n in runs))
+
+
+class TestWordText:
+    """str(Word) is the run-length text of its letters, built once."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(flat_expressions)
+    def test_parsed_flat_text(self, expr):
+        # exponent 1, letters next to themselves and to their inverses included
+        assert str(parse(expr)) == text_of_letters(reference_parse(expr).codes)
+
+    @pytest.mark.parametrize("expr, text", [
+        ("x^1y", "xy"), ("xxy", "x^2y"), ("x^2x^3", "x^5"), ("yx^1", "yx"),
+        ("x^2xyX^2Y^2xy", "x^3yX^2Y^2xy"), ("x^3Xy", "x^2y"), ("x^10", "x^10"),
+    ])
+    def test_non_canonical_flat_inputs(self, expr, text):
+        w = parse(expr)
+        assert str(w) == text
+        assert repr(w) == f"Word({text!r})"
+
+    @pytest.mark.parametrize("expr", ["x", "x^10", "x^3yX^2Y^2xy", "XyxY", "y^1048576"])
+    def test_canonical_expression_is_the_text(self, expr):
+        assert str(parse(expr)) is expr
+
+    def test_text_built_once(self, rng):
+        w = random_reduced(rng, 50)
+        assert str(w) is str(w)
+
+    def test_built_words(self, rng):
+        assert str(parse("x^2") * parse("x^3")) == "x^5"
+        assert str(~parse("x^2y")) == "YX^2"
+        assert str(parse("xy") ** 2) == "xyxy"
+        for _ in range(300):
+            u = random_reduced(rng, rng.randrange(15))
+            v = random_reduced(rng, rng.randrange(15))
+            letters = "".join("xXyY"[c] for c in u.codes)
+            for w in (u * v, ~u, u ** rng.randint(-3, 3), Word(letters), Word(u.codes),
+                      parse(str(u)) * v, ~parse(str(u))):
+                assert str(w) == text_of_letters(w.codes)
 
 
 class TestGroupOps:
