@@ -2,16 +2,17 @@
 
 Usage: python3 benchmarks/bench_kernel.py [--repeats N]
 
-Each workload runs against twosquares.kernel (the last three against
-parse, on the run-length form str(Word) prints, then lift_chain and
-str(Word)) and reports the best wall time of N runs.
+Each workload runs against twosquares.kernel (the last five against
+parse, on the run-length form str(Word) prints, then lift_chain,
+str(Word), lift_chain on conjugated loops and the text of P and Q) and
+reports the best wall time of N runs.
 """
 
 import argparse
 import random
 import time
 
-from twosquares import Word, kernel, lift_chain, parse, quotients
+from twosquares import Word, commutator, conjugate, kernel, lift_chain, parse, quotients
 
 
 def random_codes(rng, length):
@@ -28,6 +29,22 @@ def random_reduced_codes(rng, length):
             c += 1
         codes.append(c)
     return bytes(codes)
+
+
+def random_loop(rng, length):
+    """A reduced loop word of about length letters: a random walk, closed straight."""
+    codes = random_reduced_codes(rng, length)
+    a = codes.count(0) - codes.count(1)
+    b = codes.count(2) - codes.count(3)
+    return Word(codes + bytes([1 if a > 0 else 0]) * abs(a) + bytes([3 if b > 0 else 2]) * abs(b))
+
+
+def conjugated_commutator(rng, length):
+    """h [x^m, y^n] h^-1 of about length letters, 48 <= m, n <= 72."""
+    m, n = rng.randint(48, 72), rng.randint(48, 72)
+    core = commutator(Word("x") ** m, Word("y") ** n)
+    h = Word(random_reduced_codes(rng, (length - len(core)) // 2))
+    return conjugate(core, h)
 
 
 def bench_reduce(data):
@@ -62,6 +79,10 @@ def bench_lift(data):
 def bench_str(data):
     """A fresh Word per run, so that no run reads the text an earlier one kept."""
     return [str(Word._from_reduced(codes)) for codes in data]
+
+
+def bench_render(data):
+    return [(str(c.P), str(c.Q)) for c in data]
 
 
 def bench_enumerate(n):
@@ -118,6 +139,10 @@ def make_workloads(rng):
          bench_lift, [Word(random_reduced_codes(rng, 40000)) for _ in range(5)]),
         ("str(Word) (5 x len 40000)",
          bench_str, [random_reduced_codes(rng, 40000) for _ in range(5)]),
+        ("lift_chain conjugated loop (5 x len 40000)",
+         bench_lift, [conjugated_commutator(rng, 40000) for _ in range(5)]),
+        ("str(P), str(Q) (5 random loops, len 40000)",
+         bench_render, [lift_chain(random_loop(rng, 40000)) for _ in range(5)]),
     ]
 
 

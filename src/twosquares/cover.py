@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .laurent import Laurent2
-from .words import Word, abelianize, in_commutator_subgroup
+from .words import Word, _peel, abelianize, in_commutator_subgroup
 
 
 class NotALoopError(ValueError):
@@ -66,6 +66,10 @@ def lift_chain(w: Word) -> ChainPair:
     width = 2|w| + 1, so |j| <= |w| keeps the names apart and their
     order is the (i, j) order.  Each nonzero edge is decoded to (i, j)
     once, in sorted order, so P and Q hold their terms sorted.
+
+    A loop w = s c s^-1 walks only its cyclic core c, from the end
+    point (a, b) of s: s^-1 runs back over the edges of s with the
+    opposite signs, so the chain is lift(c) translated by x^a y^b.
     """
     codes = w.codes
     n = len(codes)
@@ -80,6 +84,12 @@ def lift_chain(w: Word) -> ChainPair:
         for step in (di * width + dj,)
     ]
     p = 0
+    if n and codes[0] == codes[-1] ^ 1 and in_commutator_subgroup(w):
+        # a loop w = s c s^-1: start c at the name of s's end point
+        k = _peel(codes)
+        s = codes[:k]
+        p = (s.count(0) - s.count(1)) * width + s.count(2) - s.count(3)
+        codes = codes[k : n - k]
     for code in codes:
         terms, sign, step, to_edge = table[code]
         edge = p + to_edge

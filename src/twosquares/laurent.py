@@ -106,7 +106,8 @@ class Laurent1(_Sparse):
         return [[n, self._terms[n]] for n in sorted(self._terms)]
 
     def to_str(self, var: str = "t") -> str:
-        return _render([((n,), self._terms[n]) for n in sorted(self._terms)], (var,))
+        terms, signed, power = self._terms, _SIGNED, _POWERS[var]
+        return _render([signed[terms[n]] + power[n] for n in sorted(terms)])
 
     def __str__(self) -> str:
         return self.to_str()
@@ -183,7 +184,8 @@ class Laurent2(_Sparse):
         return [[i, j, self._terms[(i, j)]] for i, j in sorted(self._terms)]
 
     def __str__(self) -> str:
-        return _render([(k, self._terms[k]) for k in sorted(self._terms)], ("x", "y"))
+        terms, signed, x, y = self._terms, _SIGNED, _X, _POWERS["y"]
+        return _render([signed[terms[k]] + x[k[0]] + y[k[1]] for k in sorted(terms)])
 
     def __repr__(self) -> str:
         return f"Laurent2('{self}')"
@@ -212,25 +214,51 @@ def _unit_order(terms: dict[tuple[int, int], int], axis: int) -> tuple[int, dict
         t += 1
 
 
-def _render(terms: Iterable[tuple[tuple[int, ...], int]], var_names: tuple[str, ...]) -> str:
-    """Human form, terms in the given order: e.g. '-1 + x - x*y + y^-2'."""
-    parts: list[str] = []
-    for exps, c in terms:
-        factors = []
-        for e, v in zip(exps, var_names):
-            if e == 1:
-                factors.append(v)
-            elif e != 0:
-                factors.append(f"{v}^{e}")
-        mono = "*".join(factors)
-        if not mono:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = f"{abs(c)}*{mono}"
-        if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
-        else:
-            parts.append(f"- {body}" if c < 0 else f"+ {body}")
-    return " ".join(parts) if parts else "0"
+def _render(terms: list[str]) -> str:
+    """Human form of term texts in the given order: e.g. '-1 + x - x*y + y^-2'.
+
+    A term's text is its sign and coefficient, '+ 3*' or '- 1*', then its
+    power of x followed by '*' and its power of y, each left out at
+    exponent 0: '- 1*x^2*', '+ 3*y'.  With a space after every term, a
+    '*' before a space can only end a term without y, and ' 1*' only be
+    a unit coefficient; both go, and the first term loses its '+ '.
+    """
+    if not terms:
+        return "0"
+    text = (" ".join(terms) + " ").replace("* ", " ").replace(" 1*", " ")
+    return text[2:-1] if text[0] == "+" else "-" + text[2:-1]
+
+
+class _Texts(dict):
+    """The text of each key, made at its first lookup and kept for later
+    polynomials; emptied at _TEXTS_MAX keys, so it stays small.  A text
+    depends on its key alone, so what a lookup returns does not depend on
+    what was looked up before, in this thread or another."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        if len(self) >= _TEXTS_MAX:
+            self.clear()
+        text = self[key] = self.make(key)
+        return text
+
+
+_TEXTS_MAX = 1 << 14
+
+
+def _power(v: str, e: int) -> str:
+    return "" if not e else v if e == 1 else f"{v}^{e}"
+
+
+# The pieces of a term's text in _render: sign and coefficient, x's power,
+# and (per variable name) y's power.  They are shared by all polynomials:
+# a chain of a short word has about as many distinct pieces as terms, so
+# tables built per polynomial would cost more than they save.
+_SIGNED = _Texts(lambda c: f"- {-c}*" if c < 0 else f"+ {c}*")
+_X = _Texts(lambda i: _power("x", i) + "*" if i else "")
+_POWERS = _Texts(lambda v: _Texts(lambda e: _power(v, e)))

@@ -366,8 +366,10 @@ def _common_suffix(a: bytes, lo: int, hi: int, b: bytes, end: int) -> int:
     most = min(hi - lo, end)
     if not most or a[hi - 1] != b[end - 1]:  # most seams do not cancel
         return 0
+    if most == 1 or a[hi - 2] != b[end - 2]:  # most that do cancel one letter
+        return 1
     view = memoryview(b)
-    found = 1
+    found = 2
     while found < most:
         mid = (found + most + 1) // 2
         if a.endswith(view[end - mid : end], lo, hi):

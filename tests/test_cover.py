@@ -2,6 +2,7 @@
 
 import pytest
 
+import twosquares.cover
 from twosquares import (
     ChainPair,
     Laurent2,
@@ -99,6 +100,68 @@ class TestLiftAgainstReference:
             c = lift_chain(w)
             assert list(c.P.items()) == sorted(c.P.items())
             assert list(c.Q.items()) == sorted(c.Q.items())
+
+    @staticmethod
+    def conjugated_loops(rng):
+        """h c h^-1 for loops c and |h| from 0 to 5000; the lift walks
+        only the cyclic core of these."""
+        cores = [commutator(random_reduced(rng, rng.randint(1, 300)),
+                            random_reduced(rng, rng.randint(1, 300))) for _ in range(10)]
+        cores += [random_loop(rng, 40) for _ in range(20)]
+        cores += [commutator(Word("x") ** m, Word("y") ** n)
+                  for m, n in ((1, 1), (3, 2), (-2, 5), (48, 73))]
+        for c in cores:
+            for size in (0, 1, 2, 17, 500, 5000):
+                yield conjugate(c, random_reduced(rng, size))
+        # the start point's |j| near |w|: a y^n prefix over a short core
+        for n in (1, 7, 2500):
+            for h in (Word("y") ** n, Word("Y") ** n):
+                yield conjugate(parse("[x,y]"), h)
+                yield conjugate(parse("[y,x]"), h)
+
+    def test_conjugated_loops_match_reference(self, rng):
+        peeled = 0
+        for w in self.conjugated_loops(rng):
+            assert abelianize(w) == (0, 0)
+            c, ref = lift_chain(w), reference_lift(w)
+            assert c == ref, str(w)
+            # P and Q in sorted order: the order the full walk decodes in
+            assert list(c.P.items()) == sorted(ref.P.items())
+            assert list(c.Q.items()) == sorted(ref.Q.items())
+            peeled += w.codes[0] == w.codes[-1] ^ 1
+        assert peeled >= 150
+
+    def test_non_loop_conjugates_match_reference(self, rng):
+        # first letter the inverse of the last, nonzero exponent sums: the
+        # walk back over h is translated, so it does not cancel
+        words = [parse("xy^5X"), parse("Xy^5x"), parse("yx^3Y"), parse("yxyY")]
+        for size in (1, 2, 17, 500, 5000):
+            h = random_reduced(rng, size)
+            words += [conjugate(Word("x") ** 3, h), conjugate(Word("Y"), h),
+                      conjugate(random_reduced(rng, 11), h)]
+        words = [w for w in words if w.codes[0] == w.codes[-1] ^ 1]
+        assert len(words) >= 12
+        for w in words:
+            assert abelianize(w) != (0, 0)
+            assert lift_chain(w) == reference_lift(w), str(w)
+
+    def test_one_letter_words(self):
+        for letter in "xXyY":
+            w = Word(letter)
+            assert lift_chain(w) == reference_lift(w)
+
+    def test_core_walk_only_for_loops(self, monkeypatch):
+        # the peel runs exactly for loops whose first letter is the
+        # inverse of their last
+        calls = []
+        peel = twosquares.cover._peel
+        monkeypatch.setattr(twosquares.cover, "_peel", lambda codes: calls.append(codes) or peel(codes))
+        for expr, peeled in (("xy^5X", False), ("x^3y^2[x,y]Y^2X^3", True), ("[x,y]", False),
+                             ("x[x,y]X", True), ("x", False), ("", False)):
+            calls.clear()
+            w = parse(expr)
+            assert lift_chain(w) == reference_lift(w)
+            assert bool(calls) == peeled, expr
 
 
 class TestTrace:

@@ -15,7 +15,7 @@ from twosquares import (
 )
 
 from conftest import random_laurent1, random_laurent2
-from reference_laurent import reference_strip_units, synth_div
+from reference_laurent import reference_str, reference_strip_units, reference_to_str, synth_div
 
 
 def L2(terms):
@@ -209,6 +209,75 @@ class TestDisplayAndJson:
         assert str(f) == "2*t^-1 + t^3"
         assert repr(f) == "Laurent1({3: 1, -1: 2})"
         assert eval(repr(f), {"Laurent1": Laurent1}) == f
+
+    def test_render_matches_reference_random(self, rng):
+        # coefficients +-1, +-2, small, and past 2^64; negative exponents;
+        # constants of +-1 and +-k; rows holding a y^0 term
+        coefficients = [1, -1, 2, -2, 3, -7, 10, -11, 2**64 + 1, -(2**70) - 3]
+        seen = set()
+        for trial in range(400):
+            span = rng.choice((1, 3, 12))
+            terms = {(rng.randint(-span, span), rng.randint(-span, span)): rng.choice(coefficients)
+                     for _ in range(rng.randrange(1 + 2 * span * span))}
+            if trial % 3 == 0:
+                terms[(0, 0)] = rng.choice(coefficients)
+            p = L2(terms)
+            assert str(p) == reference_str(p), terms
+            for var in ("t", "x", "y"):
+                f = p.substitute_x1()
+                assert f.to_str(var) == reference_to_str(f, var)
+            items = sorted(p.items())
+            if items:
+                seen.add(("first negative", items[0][1] < 0))
+                seen.update(("constant", c) for e, c in items if e == (0, 0))
+                seen.update("row with y^0" for (i, j), _ in items if i and not j)
+        assert {("first negative", True), ("first negative", False), "row with y^0"} <= seen
+        assert {("constant", c) for c in (1, -1, 2, -2)} <= seen
+
+    def test_render_edge_cases_match_reference(self):
+        polys = [
+            Laurent2.zero(), ONE, -ONE, L2({(0, 0): 5}), L2({(0, 0): -5}), X, -Y,
+            L2({(-1, 0): -1}), L2({(3, -2): 2**65}), L2({(1, 1): -(2**64)}),
+            L2({(0, 0): 1, (0, 1): 11}), L2({(0, 0): -11, (1, 0): 1, (1, 1): 1}),
+        ]
+        for p in polys:
+            assert str(p) == reference_str(p)
+            for f in (p.substitute_x1(), p.substitute_y1()):
+                assert f.to_str("y") == reference_to_str(f, "y")
+        assert str(L2({(0, 0): -11, (1, 0): 1, (1, 1): 1})) == "-11 + x + x*y"
+        assert str(L2({(0, 1): 11, (0, 0): 1})) == "1 + 11*y"
+
+    def test_render_unsorted_arithmetic_results(self, rng):
+        # sums and products insert their terms in no sorted order
+        for _ in range(200):
+            p = random_laurent2(rng) * random_laurent2(rng) - random_laurent2(rng)
+            f = random_laurent1(rng) * random_laurent1(rng) + random_laurent1(rng)
+            assert str(p) == reference_str(p)
+            assert f.to_str("t") == reference_to_str(f, "t")
+            assert str(f) == reference_to_str(f)
+
+    def test_render_matches_reference_on_loop_chains(self):
+        for g in enumerate_reduced(8):
+            if not in_commutator_subgroup(g):
+                continue
+            chain = lift_chain(g)
+            for poly in (chain.P, chain.Q):
+                assert str(poly) == reference_str(poly)
+            for f, var in ((chain.P.substitute_x1(), "y"), (chain.Q.substitute_y1(), "x")):
+                assert f.to_str(var) == reference_to_str(f, var)
+
+    def test_render_past_the_table_size(self, monkeypatch):
+        # the piece tables empty themselves when full, also in mid-render
+        laurent = twosquares.laurent
+        tables = (laurent._SIGNED, laurent._X, laurent._POWERS["y"])
+        for table in tables:
+            table.clear()
+        monkeypatch.setattr(laurent, "_TEXTS_MAX", 5)
+        p = L2({(i, j): (-1) ** abs(i + j) * (1 + abs(i * j)) for i in range(-6, 7) for j in range(-6, 7)})
+        assert str(p) == reference_str(p)
+        f = p.substitute_x1()
+        assert f.to_str("y") == reference_to_str(f, "y")
+        assert all(0 < len(table) <= 5 for table in tables)
 
     def test_equal_polynomials_hash_equal(self):
         # equal maps, different insertion orders
