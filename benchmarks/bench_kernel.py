@@ -2,7 +2,7 @@
 
 Usage: python3 benchmarks/bench_kernel.py [--repeats N]
 
-Each workload runs against twosquares.kernel (the last five against
+Each workload runs against twosquares.kernel (five of them against
 parse, on the run-length form str(Word) prints, then lift_chain,
 str(Word), lift_chain on conjugated loops and the text of P and Q) and
 reports the best wall time of N runs.
@@ -45,6 +45,13 @@ def conjugated_commutator(rng, length):
     core = commutator(Word("x") ** m, Word("y") ** n)
     h = Word(random_reduced_codes(rng, (length - len(core)) // 2))
     return conjugate(core, h)
+
+
+def square_pair(rng, a_length, length):
+    """a^2 b^2 of about length letters, for random reduced a of a_length letters and b."""
+    a = random_reduced_codes(rng, a_length)
+    b = random_reduced_codes(rng, (length - 2 * a_length) // 2)
+    return kernel.mul(kernel.mul(a, a), kernel.mul(b, b))
 
 
 def bench_reduce(data):
@@ -120,7 +127,6 @@ def make_workloads(rng):
          bench_search, [(bytes([0, 2, 1, 3]), 8)]),
         ("search miss ([x,y], bound 9)",
          bench_search, [(bytes([0, 2, 1, 3]), 9)]),
-        # the sieve starts at length 5 for these, and is not used for the longer ones
         ("search miss (5 x len 2000, bound 5)",
          bench_search, [(random_reduced_codes(rng, 2000), 5) for _ in range(5)]),
         ("search miss (5 x len 40000, bound 5)",
@@ -143,6 +149,9 @@ def make_workloads(rng):
          bench_lift, [conjugated_commutator(rng, 40000) for _ in range(5)]),
         ("str(P), str(Q) (5 random loops, len 40000)",
          bench_render, [lift_chain(random_loop(rng, 40000)) for _ in range(5)]),
+        # a search that hits early still folds g first
+        ("search hit |a| = 2 (5 x len 40000, bound 5)",
+         bench_search, [(square_pair(rng, 2, 40000), 5) for _ in range(5)]),
     ]
 
 

@@ -112,21 +112,6 @@ def _level(n):
     return map(_with_inverse_square, words_of_length(n))
 
 
-# The sieve starts at length 3 at the earliest: levels 0-2 hold 17 candidates, and a
-# search that stops there builds no table.
-_FIRST_SIEVED = 3
-# The sieve skips about 95% of a level's candidates on random words, each costing 0.8-3.8
-# us to test (|g| from 100 to 40k letters).  A level is sieved once it holds at least
-# len(g) / 16 candidates: every level from 3 on for |g| <= 576, none up to length 6 for
-# 40k.  Timed with a one-letter fold (110-130 ns a letter), no value of 8-32 was best
-# everywhere on misses at bounds 5-7 over 600-25k letters: 8 was up to 40% slower than 16
-# at 1500 letters, and 32 twice as slow at 10k and bound 5.  With the 4-letter fold
-# (quotients.pack, 30-45 ns a letter), 64 made those misses faster in 26 of 30 cases.  16
-# stays: a larger value also makes short hits on long words pay the fold first, and no
-# benchmark workload searches long words at bound 3 or more.
-_LETTERS_PER_CANDIDATE = 16
-
-
 @functools.cache
 def _cached_images(n):
     """For each quotient, the image of each a in _cached_level(n), one byte per a."""
@@ -148,26 +133,21 @@ def search_square_pair(g, bound, g_images=None):
 
     Returns (a, b, checked) on a hit, else (None, None, checked), where
     checked counts the candidate a's examined.  b is the square root of
-    a^-2 g and is not length-limited.  On a cached level from length 3 on,
-    only the a that survive every quotient's sieve are tested; the others
-    cannot be witnesses, and still count in checked.  g_images, if given,
-    must be quotients.images(g); then every such level is sieved, else
-    only those that hold at least len(g) / 16 candidates, and g is folded
-    on the first of them.
+    a^-2 g and is not length-limited.  On every cached level only the a
+    that survive every quotient's sieve are tested; the others cannot be
+    witnesses, and still count in checked.  g is folded once, here, unless
+    g_images is given, which must be quotients.images(g).
     """
+    if g_images is None:
+        g_images = images(g)
     checked = 0
     for n in range(bound + 1):
-        size = 4 * 3 ** (n - 1) if n else 1
         candidates = enumerate(_level(n))
-        if _FIRST_SIEVED <= n <= _CACHED_LEVELS and (
-            g_images is not None or size * _LETTERS_PER_CANDIDATE >= len(g)
-        ):
-            if g_images is None:
-                g_images = images(g)
+        if n <= _CACHED_LEVELS:
             candidates = compress(candidates, _survivors(n, g_images))
         for i, (a, ia2) in candidates:
             s = square_root(mul(ia2, g))
             if s is not None:
                 return a, s, checked + i + 1
-        checked += size  # skipped candidates too
+        checked += 4 * 3 ** (n - 1) if n else 1  # skipped candidates too
     return None, None, checked

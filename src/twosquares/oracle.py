@@ -78,8 +78,8 @@ def search_with_stats(
 
     The bound defaults to |g|, at most DEFAULT_BOUND_CAP.  No witness is
     inconclusive: it rules out witnesses with |a| <= bound only.
-    g_images, if given, must be quotients.images(g.codes), so that the
-    sieve need not fold g again.
+    The sieve folds g once per search; g_images, if given, must be
+    quotients.images(g.codes), and then g is not folded again.
     """
     bound = _search_bound(g, bound)
     a, b, checked = kernel.search_square_pair(g.codes, bound, g_images)

@@ -73,6 +73,16 @@ def ref_search(g, bound):
     return None, None, checked
 
 
+def random_reduced(rng, n):
+    """A random reduced word of exactly n letters."""
+    codes = []
+    while len(codes) < n:
+        c = rng.randrange(4)
+        if not codes or c != codes[-1] ^ 1:
+            codes.append(c)
+    return bytes(codes)
+
+
 def words(max_size):
     return st.lists(st.integers(0, 3), max_size=max_size).map(ref_reduce)
 
@@ -95,7 +105,7 @@ def search_targets(draw):
     """g: a random word of length <= 8, or a^2 b^2 with |a|, |b| <= 2 or 3 <= |a|, |b| <= 5.
 
     a^2 b^2 = b^2 (b^-1 a b)^2, so a short b gives a short witness: short
-    factors hit on the unsieved levels 0-2, longer ones mostly on sieved levels.
+    factors hit on levels 0-2, longer ones mostly on levels 3-5.
     """
     factors = draw(st.sampled_from([None, _SHORT_FACTORS, _LONG_FACTORS]))
     if factors is None:
@@ -255,10 +265,9 @@ class TestCandidateTable:
         finally:
             tracemalloc.stop()
         assert got == (None, None, 39365)
-        # levels 0..8 and the images of 3..8 are kept, level 9 is streamed unsieved and dropped
+        # levels 0..8 and their images are kept, level 9 is streamed unsieved and dropped
         assert _kernel_py._cached_level.cache_info().currsize == _kernel_py._CACHED_LEVELS + 1
-        assert _kernel_py._cached_images.cache_info().currsize == (
-            _kernel_py._CACHED_LEVELS + 1 - _kernel_py._FIRST_SIEVED)
+        assert _kernel_py._cached_images.cache_info().currsize == _kernel_py._CACHED_LEVELS + 1
         assert peak < 3 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
 
 
@@ -312,7 +321,7 @@ def kept_at_lengths_3_to_5(g):
 
 
 class TestQuotientSieve:
-    """From length 3 to 8 the search tests only the a whose a^-2 g maps to a square in every quotient."""
+    """Up to length 8 the search tests only the a whose a^-2 g maps to a square in every quotient."""
 
     def test_quotient_sizes(self):
         s, t, l, st = (0, 2, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 2, 1, 1)
@@ -348,11 +357,10 @@ class TestQuotientSieve:
                 for v in short:
                     assert q.elements[fold(mul(u, v))] == mat_mul(mu, q.elements[fold(v)], q.p)
 
-    @pytest.mark.parametrize("letters_per_candidate", [0, 10**9])
-    def test_where_the_sieve_starts_changes_no_result(self, monkeypatch, letters_per_candidate):
-        # 0 sieves no level and 10**9 every level from length 3 on; by default the
-        # a^2 b^2 of about 720 letters test length 3 unsieved and sieve from length 4
-        # on, and the words of about 25k letters at bound 7 sieve only length 7
+    def test_sieve_changes_no_result(self):
+        # the a^2 b^2 of about 720 letters and b itself against the plain scan; on the
+        # two words of about 25k letters at bound 7 the plain scan is too slow for the
+        # suite, so their witnesses and counts are pinned only
         rng = random.Random(11)
         b = ref_reduce(bytes(rng.randrange(4) for _ in range(700)))
         long_b = ref_reduce(bytes(rng.randrange(4) for _ in range(25000)))
@@ -361,20 +369,43 @@ class TestQuotientSieve:
         targets = [(mul(mul(a, a), mul(b, b)), 5) for a in a_s] + [(b, 5)]
         targets += [(mul(mul(a_s[0], a_s[0]), mul(long_b, long_b)), 7), (long_miss, 7)]
         assert all(24000 < len(g) < 26000 for g, _ in targets[-2:])
-        default = [search_square_pair(g, bound) for g, bound in targets]
-        assert [a for a, _, _ in default] == a_s + [None, a_s[0], None]
-        assert [checked for _, _, checked in default] == [36, 108, 324, 485, 36, 4373]
-        monkeypatch.setattr(_kernel_py, "_LETTERS_PER_CANDIDATE", letters_per_candidate)
-        assert [search_square_pair(g, bound) for g, bound in targets] == default
+        got = [search_square_pair(g, bound) for g, bound in targets]
+        assert [a for a, _, _ in got] == a_s + [None, a_s[0], None]
+        assert [checked for _, _, checked in got] == [36, 108, 324, 485, 36, 4373]
+        assert got[:4] == [ref_search(g, bound) for g, bound in targets[:4]]
 
     def test_given_images_change_no_result(self):
-        # with g's images given, every cached level from length 3 on is sieved
+        # with g's images given, g is not folded again; the result is the same
         rng = random.Random(12)
         targets = [ref_reduce(bytes(rng.randrange(4) for _ in range(n))) for n in (6, 700, 25000)]
         a = next(words_of_length(4))
         targets += [mul(mul(a, a), mul(g, g)) for g in targets]
         for g in targets:
             assert search_square_pair(g, 6, quotients.images(g)) == search_square_pair(g, 6)
+
+    @pytest.mark.parametrize("given", [False, True], ids=["folded_by_the_search", "images_given"])
+    def test_every_cached_level_is_sieved(self, monkeypatch, given):
+        # an odd x exponent sum: no witness, so the search goes through every level
+        rng = random.Random(14)
+        targets = []
+        for n in (6, 700, 25000):
+            g = random_reduced(rng, n)
+            while (g.count(0) - g.count(1)) % 2 == 0:
+                g = random_reduced(rng, n)
+            targets.append(g)
+        sieved = []
+        survivors = _kernel_py._survivors
+
+        def recorded(n, g_images):
+            sieved.append(n)
+            return survivors(n, g_images)
+
+        monkeypatch.setattr(_kernel_py, "_survivors", recorded)
+        for g in targets:
+            sieved.clear()
+            got = search_square_pair(g, 6, quotients.images(g) if given else None)
+            assert got == (None, None, 2 * 3**6 - 1), len(g)
+            assert sieved == list(range(7)), len(g)
 
     def test_packed_fold_is_the_letter_fold(self):
         # every length mod 4 up to 40, and long words, whose packed bytes take all 256 values
@@ -414,5 +445,5 @@ class TestQuotientSieve:
         monkeypatch.setattr(_kernel_py, "square_root", counted)
         for g in words["TwoSquares"] + words["Unknown"]:
             search_square_pair(g, 5)
-        # 14,163 when this gate was set
-        assert len(tests) <= 14163
+        # 2,227 when this gate was set
+        assert len(tests) <= 2227
