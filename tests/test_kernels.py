@@ -357,10 +357,20 @@ class TestQuotientSieve:
                 for v in short:
                     assert q.elements[fold(mul(u, v))] == mat_mul(mu, q.elements[fold(v)], q.p)
 
-    def test_sieve_changes_no_result(self):
-        # the a^2 b^2 of about 720 letters and b itself against the plain scan; on the
-        # two words of about 25k letters at bound 7 the plain scan is too slow for the
-        # suite, so their witnesses and counts are pinned only
+    @pytest.mark.parametrize("first_sieved", [0, 10**9])
+    def test_where_the_sieve_starts_changes_no_result(self, monkeypatch, first_sieved):
+        # lengths below first_sieved pass every candidate: 0 is the search's own rule,
+        # 10**9 sieves no length; the a^2 b^2 of about 720 letters and b itself are
+        # checked against the plain scan, while on the two words of about 25k letters
+        # at bound 7 that scan is too slow for the suite, so they are pinned only
+        survivors = _kernel_py._survivors
+
+        def from_first_sieved(n, g_images):
+            if n < first_sieved:
+                return b"\x01" * len(_kernel_py._cached_level(n))
+            return survivors(n, g_images)
+
+        monkeypatch.setattr(_kernel_py, "_survivors", from_first_sieved)
         rng = random.Random(11)
         b = ref_reduce(bytes(rng.randrange(4) for _ in range(700)))
         long_b = ref_reduce(bytes(rng.randrange(4) for _ in range(25000)))
