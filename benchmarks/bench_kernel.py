@@ -2,17 +2,19 @@
 
 Usage: python3 benchmarks/bench_kernel.py [--repeats N]
 
-Each workload runs against twosquares.kernel (five of them against
+Each workload runs against twosquares.kernel (seven of them against
 parse, on the run-length form str(Word) prints, then lift_chain,
-str(Word), lift_chain on conjugated loops and the text of P and Q) and
-reports the best wall time of N runs.
+str(Word), lift_chain on conjugated loops, the text of P and Q, the
+factor reports of the loop words of length <= 10, and the text check
+--format json prints) and reports the best wall time of N runs.
 """
 
 import argparse
 import random
 import time
 
-from twosquares import Word, commutator, conjugate, kernel, lift_chain, parse, quotients
+from twosquares import (Word, analyze, cli, commutator, conjugate, kernel, lift_chain, obstructions,
+                        parse, quotients)
 
 
 def random_codes(rng, length):
@@ -37,6 +39,16 @@ def random_loop(rng, length):
     a = codes.count(0) - codes.count(1)
     b = codes.count(2) - codes.count(3)
     return Word(codes + bytes([1 if a > 0 else 0]) * abs(a) + bytes([3 if b > 0 else 2]) * abs(b))
+
+
+def short_loops(rng, count, lo, hi):
+    """count random reduced loops of lo to hi letters."""
+    loops = []
+    while len(loops) < count:
+        w = random_loop(rng, rng.randint(lo, hi))
+        if lo <= len(w) <= hi:
+            loops.append(w)
+    return loops
 
 
 def conjugated_commutator(rng, length):
@@ -90,6 +102,24 @@ def bench_str(data):
 
 def bench_render(data):
     return [(str(c.P), str(c.Q)) for c in data]
+
+
+def bench_factor_reports(data):
+    """Both sides' factor reports, given each loop's chain and phi_1."""
+    return [obstructions._factor_reports(chain, "both", phi1) for chain, phi1 in data]
+
+
+def bench_report_json(data):
+    """The text check --format json prints for each report."""
+    return [cli._report_json(report) for report in data]
+
+
+def loop_chains(max_len):
+    """The chain and phi_1 of every loop word of length <= max_len."""
+    chains = (lift_chain(Word(codes)) for n in range(max_len + 1)
+              for codes in kernel.words_of_length(n)
+              if codes.count(0) == codes.count(1) and codes.count(2) == codes.count(3))
+    return [(c, c.P.substitute_x1().taylor_coeff(1)) for c in chains]
 
 
 def bench_enumerate(n):
@@ -152,6 +182,10 @@ def make_workloads(rng):
         # a search that hits early still folds g first
         ("search hit |a| = 2 (5 x len 40000, bound 5)",
          bench_search, [(square_pair(rng, 2, 40000), 5) for _ in range(5)]),
+        ("factor reports (all 2601 loop words, len <= 10)",
+         bench_factor_reports, loop_chains(10)),
+        ("check --format json text (600 loops, len 12-40)",
+         bench_report_json, [analyze(w, bound=4) for w in short_loops(rng, 600, 12, 40)]),
     ]
 
 

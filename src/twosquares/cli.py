@@ -24,7 +24,8 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .cover import NotALoopError, lift_chain, lift_trace
-from .obstructions import DEFAULT_DEPTH, MAX_DEPTH, LadderEntry, ObstructionReport, analyze, ladder
+from .obstructions import (DEFAULT_DEPTH, MAX_DEPTH, FactorReport, FirstObstruction, LadderEntry,
+                           ObstructionReport, analyze, ladder)
 from .oracle import search_with_stats
 from .words import ParseError, parse
 
@@ -120,16 +121,12 @@ def _scan(argv) -> argparse.Namespace | None:
     return argparse.Namespace(command=argv[0], word=words[0], **values)
 
 
-def _emit_json(obj) -> None:
-    """Print obj as exactly the text json.dumps(obj, indent=2) writes."""
-    print(_json_text(obj))
-
-
 # One writer per exact type, so a bool is never written as an int.
+_FLAG = ("false", "true")
 _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    bool: ("false", "true").__getitem__,
+    bool: _FLAG.__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
 
@@ -143,20 +140,66 @@ def _json_text(obj, indent: str = "\n") -> str:
         return _SCALARS[kind](obj)
     if kind is not dict and kind is not list:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    if not obj:
-        return "{}" if kind is dict else "[]"
     inner = indent + "  "
     if kind is dict:  # encode_basestring_ascii raises TypeError on a non-str key
         items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items())
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
+        return _layout(items, indent, "{", "}")
     if (set(map(type, obj)) == {list} and len(set(map(len, obj))) == 1
             and set(map(type, itertools.chain.from_iterable(obj))) == {int}):
-        deeper = inner + "  "
-        row = "[" + deeper + ("," + deeper).join(["{}"] * len(obj[0])) + inner + "]"
-        items = itertools.starmap(row.format, obj)
+        return _rows(obj, _layout(["{}"] * len(obj[0]), inner), indent)
+    return _layout((_json_text(v, inner) for v in obj), indent)
+
+
+def _layout(items, indent: str, opener: str = "[", closer: str = "]") -> str:
+    """The JSON list (or, given braces, object) of the item texts at
+    indent, as json.dumps(indent=2) lays it out."""
+    deeper = indent + "  "
+    inner = ("," + deeper).join(items)
+    return opener + deeper + inner + indent + closer if inner else opener + closer
+
+
+def _rows(rows, row: str, indent: str) -> str:
+    """The JSON list at indent of row.format(*r) for each r in rows."""
+    return _layout(itertools.starmap(row.format, rows), indent)
+
+
+def _fields(keys, indent: str) -> str:
+    """The format template of a JSON object of keys at indent."""
+    return _layout([f'"{key}": {{}}' for key in keys], indent, "{{", "}}")
+
+
+# The templates of check's report, laid out as ObstructionReport.to_json and
+# its parts' to_json give them: a term of P or Q is ((i, j), c), of f or g (n, c).
+_REPORT = _fields(("word", "expsums", "P", "Q", "f", "g", "ladder",
+                   "first_obstruction", "factor", "verdict"), "\n")
+_TERM2 = _layout(["{0[0]}", "{0[1]}", "{1}"], "\n    ")
+_TERM1 = _layout(["{}", "{}"], "\n    ")
+_RUNG = _fields(LadderEntry._fields, "\n    ")
+_FIRST = _fields(FirstObstruction._fields, "\n  ")
+_FACTOR = _fields((*FactorReport._fields, "paper_stated"), "\n  ")
+_VERDICT = _fields(("kind", "reason"), "\n  ")
+_WITNESSED = _layout(['"kind": {}', '"witness": ' + _fields(("a", "b"), "\n    ")], "\n  ", "{{", "}}")
+
+
+def _report_json(report: ObstructionReport) -> str:
+    """json.dumps(report.to_json(), indent=2), byte for byte, written from
+    the record through the templates above, one format call per row."""
+    enc, first, v = encode_basestring_ascii, report.first_obstruction, report.verdict
+    polys = [_rows(sorted(p.items()), _TERM2, "\n  ") for p in report.chain]
+    polys += ["null" if p is None else _rows(sorted(p.items()), _TERM1, "\n  ")
+              for p in (report.f, report.g)]
+    rungs = ((e.k, e.phi, e.psi, _FLAG[e.phi_defined], _FLAG[e.psi_defined]) for e in report.ladder)
+    fr = report.factors[0] if report.factors else None
+    if v.kind == "TwoSquares":
+        verdict = _WITNESSED.format(enc(v.kind), *(enc(str(u)) for u in v.witness))
     else:
-        items = (_json_text(v, inner) for v in obj)
-    return "[" + inner + ("," + inner).join(items) + indent + "]"
+        verdict = _VERDICT.format(enc(v.kind), _json_text(v.reason))
+    return _REPORT.format(
+        enc(str(report.word)), _layout(map(str, report.expsums), "\n  "), *polys,
+        _rows(rungs, _RUNG, "\n  "),
+        "null" if first is None else _FIRST.format(first.k, first.value, enc(first.side)),
+        "null" if fr is None else _FACTOR.format(*fr[:3], enc(fr.side), _FLAG[fr.side == "P"]),
+        verdict)
 
 
 def run(args: argparse.Namespace) -> int:
@@ -170,7 +213,7 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "check":
         report = analyze(word, depth=args.depth, bound=args.bound, side=args.side)
         if args.format == "json":
-            _emit_json(report.to_json())
+            print(_report_json(report))
         else:
             print(render_report(report))
         return EXIT_UNKNOWN if report.verdict.kind == "Unknown" else EXIT_OK
@@ -182,7 +225,7 @@ def run(args: argparse.Namespace) -> int:
             print(f"twosquares: error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if args.format == "json":
-            _emit_json([e._asdict() for e in entries])
+            print(_json_text([e._asdict() for e in entries]))
         else:
             print(f"word: {word}")
             for e in entries:
@@ -196,7 +239,7 @@ def run(args: argparse.Namespace) -> int:
             payload = chain.to_json()
             if args.trace:
                 payload["trace"] = [[i, j] for i, j in lift_trace(word)]
-            _emit_json(payload)
+            print(_json_text(payload))
         else:
             print(f"word: {word}")
             print(f"P = {chain.P}")
@@ -208,7 +251,7 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "search":
         outcome = search_with_stats(word, args.bound)
         if args.format == "json":
-            _emit_json(outcome.to_json())
+            print(_json_text(outcome.to_json()))
         elif outcome.witness is not None:
             w = outcome.witness
             print(

@@ -188,17 +188,21 @@ def ladder(w: Word, depth: int = DEFAULT_DEPTH) -> list[LadderEntry]:
     return _ladder_pass(homology_image(w), depth).entries
 
 
-def _factor_reports(chain: ChainPair, side: str) -> tuple[FactorReport, ...]:
+def _factor_reports(chain: ChainPair, side: str, phi1: int) -> tuple[FactorReport, ...]:
     """The factor criterion on the sides that side selects, P first.
 
     A loop's chain is a cycle, P(x-1) + Q(y-1) = 0, so P = (y-1) R and
     Q = -(x-1) R for one R: Q is zero iff P is, and when P strips to
-    (k, l, h11), Q strips to (k+1, l-1, -h11).  P is stripped once and
-    Q's report is read off it, so either side obstructs iff both do.
+    (k, l, h11), Q strips to (k+1, l-1, -h11).  Q's report is read off
+    P's, so either side obstructs iff both do.  P's report is (0, 1,
+    phi1) when phi1 = f'(1) != 0, f(y) = P(1, y): f != 0, so x-1 does
+    not divide P; the cycle law makes y-1 divide it; (y-1)^2 would make
+    f'(1) vanish; and P = (y-1) h gives h(1, 1) = f'(1).  Only when
+    phi1 = 0 is P stripped, once.
     """
     if not chain.P:
         return ()
-    k, l, h11 = chain.P.strip_units()
+    k, l, h11 = (0, 1, phi1) if phi1 else chain.P.strip_units()
     both = (FactorReport(k, l, h11, "P"), FactorReport(k + 1, l - 1, -h11, "Q"))
     return tuple(fr for fr in both if side in (fr.side, "both"))
 
@@ -254,7 +258,7 @@ def analyze(
     else:
         inconclusive = f"no odd obstruction up to depth {depth}"
         f, g, entries, first, parity = _ladder_pass(chain, depth)
-        factors = _factor_reports(chain, side)
+        factors = _factor_reports(chain, side, entries[0].phi)
         if parity is not None:
             verdict = Verdict("NotTwoSquares", reason=f"{parity.describe()} is odd")
         elif factors and factors[0].obstructs:

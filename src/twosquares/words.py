@@ -41,8 +41,8 @@ class Word:
     Accepts a plain letter string over xXyY, a bytes string of letter
     codes, or an iterable of codes; reduction happens here, so every Word
     is canonical.  Immutable by convention: no method mutates, all
-    operations return fresh words.  The text str() prints is built on
-    first use and kept.
+    operations return fresh words.  The text str() prints and the
+    exponent sums abelianize counts are built on first use and kept.
 
     >>> Word("xX")
     Word('e')
@@ -50,7 +50,7 @@ class Word:
     Word('x^2')
     """
 
-    __slots__ = ("_letters", "_text")
+    __slots__ = ("_letters", "_text", "_sums")
 
     def __init__(self, letters: Union[str, Iterable[int]] = b""):
         if isinstance(letters, str):
@@ -65,14 +65,14 @@ class Word:
         if any(c > 3 for c in codes):
             raise ValueError("letter codes must be in 0..3")
         self._letters = kernel.reduce_word(codes)
-        self._text = None
+        self._text = self._sums = None
 
     @classmethod
     def _from_reduced(cls, data: bytes, text: Optional[str] = None) -> "Word":
         """The Word of reduced codes; text, if given, must be what str() prints."""
         w = cls.__new__(cls)
         w._letters = data
-        w._text = text
+        w._text, w._sums = text, None
         return w
 
     @property
@@ -135,9 +135,11 @@ def conjugate(g: Word, h: Word) -> Word:
 
 
 def abelianize(g: Word) -> tuple[int, int]:
-    """Exponent sums (of x, of y); the image in Z^2."""
-    w = g.codes
-    return w.count(0) - w.count(1), w.count(2) - w.count(3)
+    """Exponent sums (of x, of y); the image in Z^2.  Counted once per Word."""
+    if g._sums is None:
+        w = g.codes
+        g._sums = w.count(0) - w.count(1), w.count(2) - w.count(3)
+    return g._sums
 
 
 def in_commutator_subgroup(g: Word) -> bool:

@@ -16,8 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 import test_golden
 import twosquares
+from test_obstructions import all_vanishing_word
 from twosquares import analyze, cli, ladder, lift_chain, lift_trace, parse, search_with_stats
 from twosquares.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main, run
+from twosquares.obstructions import DEFAULT_DEPTH
 
 # the same package as this process, whether installed or on PYTHONPATH
 PACKAGE_ENV = {**os.environ, "PYTHONPATH": str(Path(twosquares.__file__).parents[1])}
@@ -187,6 +189,57 @@ class TestJsonText:
     def test_other_types_raise(self, obj):
         with pytest.raises(TypeError):
             cli._json_text(obj)
+
+
+class TestReportJson:
+    """check --format json is written from the report record by
+    cli._report_json, and is exactly json.dumps(report.to_json(), indent=2)."""
+
+    @staticmethod
+    def assert_as_json_dumps(report):
+        assert cli._report_json(report) == json.dumps(report.to_json(), indent=2)
+
+    @pytest.mark.parametrize("side", ["P", "Q", "both"])
+    def test_golden_loop_words(self, side):
+        words = test_golden.loop_words()
+        assert len(words) == 361
+        for w in words:
+            self.assert_as_json_dumps(analyze(parse(w), bound=3, side=side))
+
+    @pytest.mark.parametrize("depth", [1, 20])
+    @pytest.mark.parametrize("side", ["P", "Q", "both"])
+    def test_edge_words(self, depth, side):
+        # the identity; non-loop words with an odd sum, with even sums, and
+        # with sums 0 mod 4 and an odd area; a word with f = 0; a ladder
+        # wider than 64 bits; and a word of each verdict kind
+        exprs = ("e", "x", "x^2y^2", "x^3yxY", str(all_vanishing_word()), "[x^1000,y^1000]",
+                 "[x,y]", "[x^2,y]", "x^3yX^2yXY^2")
+        kinds = set()
+        for expr, bound in [(e, 2) for e in exprs] + [("[x^2,y]", 0)]:
+            report = analyze(parse(expr), depth=depth, bound=bound, side=side)
+            self.assert_as_json_dumps(report)
+            kinds.add(report.verdict.kind)
+        assert kinds == {"TwoSquares", "NotTwoSquares", "Unknown"}
+        assert not analyze(all_vanishing_word(), bound=0).f
+        widest = analyze(parse("[x^1000,y^1000]"), bound=0, side=side)  # at the default depth
+        self.assert_as_json_dumps(widest)
+        assert max(abs(e.phi) for e in widest.ladder).bit_length() == 75
+
+    @pytest.mark.parametrize("argv", [
+        ("--bound", "3", "[x^2,y]"),
+        ("--bound", "0", "[x^2,y]"),
+        ("[x,y]",),
+        ("--side", "both", "--depth", "20", "[x,y]^2"),
+        ("--side", "Q", "--depth", "1", "x^3yX^2yXY^2"),
+        ("x^3yxY",),
+    ])
+    def test_check_prints_it(self, capsys, argv):
+        options = dict(zip(argv[:-1:2], argv[1:-1:2]))
+        bound = options.get("--bound")
+        report = analyze(parse(argv[-1]), depth=int(options.get("--depth", DEFAULT_DEPTH)),
+                         bound=None if bound is None else int(bound), side=options.get("--side", "P"))
+        _, out, _ = run_cli(capsys, "check", "--format", "json", *argv)
+        assert out == json.dumps(report.to_json(), indent=2) + "\n"
 
 
 class TestErrors:

@@ -9,6 +9,7 @@ from twosquares import (
     NotALoopError,
     Word,
     abelianize,
+    analyze,
     commutator,
     conjugate,
     homology_image,
@@ -162,6 +163,29 @@ class TestLiftAgainstReference:
             w = parse(expr)
             assert lift_chain(w) == reference_lift(w)
             assert bool(calls) == peeled, expr
+
+    def test_exponent_sums_counted_once(self, rng):
+        # a Word keeps its exponent sums, so analyze and the lift's
+        # core-walk guard, or homology_image and the guard, count them once
+        # between them, and the chain is unchanged, term order included
+        class CountingBytes(bytes):
+            def count(self, *args):
+                counted.append(args)
+                return super().count(*args)
+
+        words = list(self.conjugated_loops(rng))
+        words += [parse(e) for e in ("xy^5X", "yx^3Y", "x^3yxY", "[x,y]", "x", "")]
+        for w in words:
+            chain = reference_lift(w)
+            routes = [lambda u: analyze(u, depth=1, bound=0).chain]
+            if abelianize(w) == (0, 0):
+                routes.append(homology_image)
+            for route in routes:
+                counted = []
+                c = route(Word._from_reduced(CountingBytes(w.codes)))
+                assert len(counted) == 4, str(w)
+                assert list(c.P.items()) == sorted(chain.P.items()), str(w)
+                assert list(c.Q.items()) == sorted(chain.Q.items()), str(w)
 
 
 class TestTrace:

@@ -21,7 +21,7 @@ from twosquares import (
     phi,
     search_with_stats,
 )
-from twosquares.obstructions import JOINT_IMAGE_REASON, MAX_DEPTH
+from twosquares.obstructions import JOINT_IMAGE_REASON, MAX_DEPTH, FactorReport
 
 from conftest import random_loop, random_reduced
 
@@ -163,7 +163,8 @@ class TestFactorCriterion:
 
 class TestCycleLaw:
     """A loop's chain is a cycle, P(x-1) + Q(y-1) = 0, so Q's factor
-    report is read off P's: (k, l, h11) on P gives (k+1, l-1, -h11) on Q."""
+    report is read off P's: (k, l, h11) on P gives (k+1, l-1, -h11) on Q.
+    P's is read off phi_1 when phi_1 != 0: (0, 1, phi_1)."""
 
     @staticmethod
     def loop_words():
@@ -174,25 +175,60 @@ class TestCycleLaw:
         u, v = random_reduced(rng, 250), random_reduced(rng, 250)
         yield u * v * ~u * ~v  # about 1000 letters
 
+    @staticmethod
+    def long_loops():
+        """Seeded loops of 2k-20k letters: random walks closed straight,
+        whose phi_1 is nonzero, and twists of such walks, whose is 0."""
+        rng = random.Random(29)
+        for n, t in zip((2000, 5000, 10000, 20000), "xyxy"):
+            walks = []
+            for size in (n, n // 2):
+                w = random_reduced(rng, size)
+                a, b = abelianize(w)
+                walks.append(w * Word("X") ** a * Word("Y") ** b)
+            yield walks[0]
+            yield twist(walks[1], Word(t))
+
+    @staticmethod
+    def assert_reports_are_strips(g):
+        """analyze's factor reports at side both are the two strips."""
+        chain = lift_chain(g)
+        assert bool(chain.P) == bool(chain.Q), g
+        reports = analyze(g, bound=0, side="both").factors
+        if chain.P:
+            assert reports == (FactorReport(*chain.P.strip_units(), "P"),
+                               FactorReport(*chain.Q.strip_units(), "Q")), g
+        else:
+            assert reports == ()
+
     def test_q_report_is_derived_from_p(self):
         longest = 0
         for g in self.loop_words():
             longest = max(longest, len(g))
-            chain = lift_chain(g)
-            assert bool(chain.P) == bool(chain.Q), g
-            reports = analyze(g, bound=0, side="both").factors
-            if chain.P:
-                assert [fr[:3] for fr in reports] == [
-                    chain.P.strip_units(),
-                    chain.Q.strip_units(),
-                ], g
-            else:
-                assert reports == ()
+            self.assert_reports_are_strips(g)
             kinds = {analyze(g, bound=0, side=s).verdict.kind for s in ("P", "Q", "both")}
             assert len(kinds) == 1, g
         assert longest >= 900
 
+    def test_reports_equal_strips_on_all_short_loops(self):
+        # both branches: P's report read off phi_1 != 0, and P stripped
+        loops = [g for g in enumerate_reduced(10) if in_commutator_subgroup(g)]
+        assert len(loops) == 2601
+        branches = {bool(phi(g)) for g in loops if g}
+        assert branches == {False, True}
+        for g in loops:
+            self.assert_reports_are_strips(g)
+
+    def test_reports_equal_strips_on_long_loops(self):
+        long_loops = list(self.long_loops())
+        assert [bool(phi(g)) for g in long_loops] == [True, False] * 4
+        assert 2000 <= min(map(len, long_loops)) and max(map(len, long_loops)) <= 21000
+        for g in long_loops:
+            self.assert_reports_are_strips(g)
+
     def test_one_strip_per_report(self, monkeypatch):
+        # P's report is read off phi_1 when phi_1 != 0, so P is stripped
+        # only when phi_1 = 0, and then once, at every side
         calls = []
         strip_units = Laurent2.strip_units
 
@@ -201,11 +237,13 @@ class TestCycleLaw:
             return strip_units(poly)
 
         monkeypatch.setattr(Laurent2, "strip_units", counted)
-        for g in (parse("[x,y]"), parse("[x^2,y]"), parse("[x,y]^2"), all_vanishing_word()):
+        for g, strips in ((parse("[x,y]"), 0), (parse("[x^2,y]"), 0), (parse("[x,y]^2"), 0),
+                          (ladder_word(2), 1), (all_vanishing_word(), 1)):
+            assert (phi(g) == 0) == bool(strips), g
             for side in ("P", "Q", "both"):
                 calls.clear()
                 analyze(g, bound=0, side=side)
-                assert len(calls) == 1, (g, side)
+                assert len(calls) == strips, (g, side)
 
 
 class TestAnalyze:
