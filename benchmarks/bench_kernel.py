@@ -5,11 +5,14 @@ Usage: python3 benchmarks/bench_kernel.py [--repeats N]
 Each workload runs against twosquares.kernel (seven of them against
 parse, on the run-length form str(Word) prints, then lift_chain,
 str(Word), lift_chain on conjugated loops, the text of P and Q, the
-factor reports of the loop words of length <= 10, and the text check
---format json prints) and reports the best wall time of N runs.
+factor reports of the loop words of length <= 10, the text check
+--format json prints, and cli.main on chain and ladder --format json,
+its output captured) and reports the best wall time of N runs.
 """
 
 import argparse
+import contextlib
+import io
 import random
 import time
 
@@ -114,6 +117,12 @@ def bench_report_json(data):
     return [cli._report_json(report) for report in data]
 
 
+def bench_cli(argvs):
+    """cli.main on each command line, its output captured."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return [cli.main(argv) for argv in argvs]
+
+
 def loop_chains(max_len):
     """The chain and phi_1 of every loop word of length <= max_len."""
     chains = (lift_chain(Word(codes)) for n in range(max_len + 1)
@@ -186,6 +195,11 @@ def make_workloads(rng):
          bench_factor_reports, loop_chains(10)),
         ("check --format json text (600 loops, len 12-40)",
          bench_report_json, [analyze(w, bound=4) for w in short_loops(rng, 600, 12, 40)]),
+        ("chain --format json --trace (3 random loops, len 40000)",
+         bench_cli, [["chain", "--format", "json", "--trace", str(random_loop(rng, 40000))]
+                     for _ in range(3)]),
+        ("ladder --format json --depth 200 [x^1000,y^1000]",
+         bench_cli, [["ladder", "--format", "json", "--depth", "200", "[x^1000,y^1000]"]]),
     ]
 
 

@@ -121,33 +121,7 @@ def _scan(argv) -> argparse.Namespace | None:
     return argparse.Namespace(command=argv[0], word=words[0], **values)
 
 
-# One writer per exact type, so a bool is never written as an int.
 _FLAG = ("false", "true")
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: _FLAG.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
-def _json_text(obj, indent: str = "\n") -> str:
-    """json.dumps(obj, indent=2), byte for byte, for str-keyed dicts, lists,
-    str, int, bool and None; TypeError on any other type.  A list of
-    equal-length rows of plain ints is written through one row template."""
-    kind = type(obj)
-    if kind in _SCALARS:
-        return _SCALARS[kind](obj)
-    if kind is not dict and kind is not list:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    inner = indent + "  "
-    if kind is dict:  # encode_basestring_ascii raises TypeError on a non-str key
-        items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items())
-        return _layout(items, indent, "{", "}")
-    if (set(map(type, obj)) == {list} and len(set(map(len, obj))) == 1
-            and set(map(type, itertools.chain.from_iterable(obj))) == {int}):
-        return _rows(obj, _layout(["{}"] * len(obj[0]), inner), indent)
-    return _layout((_json_text(v, inner) for v in obj), indent)
 
 
 def _layout(items, indent: str, opener: str = "[", closer: str = "]") -> str:
@@ -168,8 +142,9 @@ def _fields(keys, indent: str) -> str:
     return _layout([f'"{key}": {{}}' for key in keys], indent, "{{", "}}")
 
 
-# The templates of check's report, laid out as ObstructionReport.to_json and
-# its parts' to_json give them: a term of P or Q is ((i, j), c), of f or g (n, c).
+# The JSON templates, laid out as the library's to_json and _asdict give the
+# records: a term of P or Q is ((i, j), c), of f or g (n, c); a trace point
+# (i, j) is laid out as a term of f or g.
 _REPORT = _fields(("word", "expsums", "P", "Q", "f", "g", "ladder",
                    "first_obstruction", "factor", "verdict"), "\n")
 _TERM2 = _layout(["{0[0]}", "{0[1]}", "{1}"], "\n    ")
@@ -179,24 +154,37 @@ _FIRST = _fields(FirstObstruction._fields, "\n  ")
 _FACTOR = _fields((*FactorReport._fields, "paper_stated"), "\n  ")
 _VERDICT = _fields(("kind", "reason"), "\n  ")
 _WITNESSED = _layout(['"kind": {}', '"witness": ' + _fields(("a", "b"), "\n    ")], "\n  ", "{{", "}}")
+_LADDER_RUNG = _fields(LadderEntry._fields, "\n  ")
+_CHAIN = _fields(("P", "Q"), "\n")
+_TRACED = _fields(("P", "Q", "trace"), "\n")
+_OUTCOME = _fields(("found", "a", "b", "checked", "bound"), "\n")
+
+
+def _chain_rows(chain) -> list[str]:
+    """The JSON lists of P's and Q's terms, as values of a top-level key."""
+    return [_rows(sorted(p.items()), _TERM2, "\n  ") for p in chain]
+
+
+def _rungs(entries):
+    """The format arguments of each ladder rung."""
+    return ((e.k, e.phi, e.psi, _FLAG[e.phi_defined], _FLAG[e.psi_defined]) for e in entries)
 
 
 def _report_json(report: ObstructionReport) -> str:
     """json.dumps(report.to_json(), indent=2), byte for byte, written from
     the record through the templates above, one format call per row."""
     enc, first, v = encode_basestring_ascii, report.first_obstruction, report.verdict
-    polys = [_rows(sorted(p.items()), _TERM2, "\n  ") for p in report.chain]
+    polys = _chain_rows(report.chain)
     polys += ["null" if p is None else _rows(sorted(p.items()), _TERM1, "\n  ")
               for p in (report.f, report.g)]
-    rungs = ((e.k, e.phi, e.psi, _FLAG[e.phi_defined], _FLAG[e.psi_defined]) for e in report.ladder)
     fr = report.factors[0] if report.factors else None
     if v.kind == "TwoSquares":
         verdict = _WITNESSED.format(enc(v.kind), *(enc(str(u)) for u in v.witness))
     else:
-        verdict = _VERDICT.format(enc(v.kind), _json_text(v.reason))
+        verdict = _VERDICT.format(enc(v.kind), "null" if v.reason is None else enc(v.reason))
     return _REPORT.format(
         enc(str(report.word)), _layout(map(str, report.expsums), "\n  "), *polys,
-        _rows(rungs, _RUNG, "\n  "),
+        _rows(_rungs(report.ladder), _RUNG, "\n  "),
         "null" if first is None else _FIRST.format(first.k, first.value, enc(first.side)),
         "null" if fr is None else _FACTOR.format(*fr[:3], enc(fr.side), _FLAG[fr.side == "P"]),
         verdict)
@@ -225,7 +213,7 @@ def run(args: argparse.Namespace) -> int:
             print(f"twosquares: error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if args.format == "json":
-            print(_json_text([e._asdict() for e in entries]))
+            print(_rows(_rungs(entries), _LADDER_RUNG, "\n"))
         else:
             print(f"word: {word}")
             for e in entries:
@@ -236,10 +224,10 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "chain":
         chain = lift_chain(word)
         if args.format == "json":
-            payload = chain.to_json()
             if args.trace:
-                payload["trace"] = [[i, j] for i, j in lift_trace(word)]
-            print(_json_text(payload))
+                print(_TRACED.format(*_chain_rows(chain), _rows(lift_trace(word), _TERM1, "\n  ")))
+            else:
+                print(_CHAIN.format(*_chain_rows(chain)))
         else:
             print(f"word: {word}")
             print(f"P = {chain.P}")
@@ -250,10 +238,11 @@ def run(args: argparse.Namespace) -> int:
 
     if args.command == "search":
         outcome = search_with_stats(word, args.bound)
+        w = outcome.witness
         if args.format == "json":
-            print(_json_text(outcome.to_json()))
-        elif outcome.witness is not None:
-            w = outcome.witness
+            ab = ("null", "null") if w is None else (encode_basestring_ascii(str(u)) for u in w)
+            print(_OUTCOME.format(_FLAG[w is not None], *ab, outcome.checked, outcome.bound))
+        elif w is not None:
             print(
                 f"witness: a = {w.a}, b = {w.b}; {word} = a^2 b^2 "
                 f"(checked {outcome.checked} candidates, bound {outcome.bound})"

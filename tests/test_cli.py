@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -17,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 import test_golden
 import twosquares
 from test_obstructions import all_vanishing_word
-from twosquares import analyze, cli, ladder, lift_chain, lift_trace, parse, search_with_stats
+from twosquares import Word, analyze, cli, ladder, lift_chain, lift_trace, parse, search_with_stats
 from twosquares.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main, run
-from twosquares.obstructions import DEFAULT_DEPTH
+from twosquares.obstructions import DEFAULT_DEPTH, Verdict
 
 # the same package as this process, whether installed or on PYTHONPATH
 PACKAGE_ENV = {**os.environ, "PYTHONPATH": str(Path(twosquares.__file__).parents[1])}
@@ -132,63 +133,86 @@ class TestSearch:
         }
 
 
-BIG_INTS = st.integers(-2**80, 2**80)
-JSON_TREES = st.recursive(
-    st.none() | st.booleans() | BIG_INTS | st.text(),
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
-    max_leaves=20,
-)
+class TestLayout:
+    """cli._rows and cli._layout, which lay out every row of every JSON
+    output, write a list of int rows exactly as json.dumps(indent=2) does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda width: st.lists(
+        st.lists(st.integers(-2**80, 2**80), min_size=width, max_size=width), max_size=6)))
+    def test_int_rows(self, rows):
+        width = len(rows[0]) if rows else 0
+        top = cli._rows(rows, cli._layout(["{}"] * width, "\n  "), "\n")
+        assert top == json.dumps(rows, indent=2)
+        nested = cli._fields(("rows",), "\n").format(
+            cli._rows(rows, cli._layout(["{}"] * width, "\n    "), "\n  "))
+        assert nested == json.dumps({"rows": rows}, indent=2)
 
 
-@st.composite
-def int_rows(draw):
-    """Equal-length rows of ints, sometimes with one row ragged or holding bools."""
-    width = draw(st.integers(0, 4))
-    rows = draw(st.lists(st.lists(BIG_INTS, min_size=width, max_size=width), max_size=6))
-    if rows and draw(st.booleans()):
-        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.lists(BIG_INTS | st.booleans(), max_size=5))
-    return rows
+def random_loop(seed, length):
+    """A seeded reduced loop word of about length letters: a random walk, closed straight."""
+    rng = random.Random(seed)
+    codes = [rng.randrange(4)]
+    while len(codes) < length:
+        code = rng.randrange(4)
+        if code != codes[-1] ^ 1:
+            codes.append(code)
+    a = codes.count(0) - codes.count(1)
+    b = codes.count(2) - codes.count(3)
+    return Word(bytes(codes) + bytes([1 if a > 0 else 0]) * abs(a) + bytes([3 if b > 0 else 2]) * abs(b))
 
 
-class TestJsonText:
-    """cli._json_text writes exactly what json.dumps(obj, indent=2) writes."""
+class TestSubcommandJson:
+    """ladder, chain and search --format json are written from their
+    records, and print exactly json.dumps(payload, indent=2) and a newline,
+    the payload being the library's _asdict or to_json."""
 
     @staticmethod
-    def assert_as_json_dumps(obj):
-        assert cli._json_text(obj) == json.dumps(obj, indent=2)
+    def assert_prints(capsys, argv, payload):
+        assert cli.main(list(argv)) == EXIT_OK
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
-    @settings(max_examples=300, deadline=None)
-    @given(JSON_TREES)
-    def test_trees(self, obj):
-        self.assert_as_json_dumps(obj)
+    def assert_ladder(self, capsys, expr, depth=DEFAULT_DEPTH):
+        payload = [e._asdict() for e in ladder(parse(expr), depth=depth)]
+        self.assert_prints(capsys, ("ladder", "--format", "json", "--depth", str(depth), expr), payload)
+        return payload
 
-    @settings(max_examples=300, deadline=None)
-    @given(int_rows())
-    def test_int_rows(self, rows):
-        self.assert_as_json_dumps(rows)
-        self.assert_as_json_dumps({"rows": [rows]})
+    def assert_chain(self, capsys, expr):
+        word = parse(expr)
+        payload = lift_chain(word).to_json()
+        self.assert_prints(capsys, ("chain", "--format", "json", expr), payload)
+        payload["trace"] = [[i, j] for i, j in lift_trace(word)]
+        self.assert_prints(capsys, ("chain", "--format", "json", "--trace", expr), payload)
 
-    def test_loop_word_reports(self):
+    def assert_search(self, capsys, expr, bound):
+        payload = search_with_stats(parse(expr), bound).to_json()
+        self.assert_prints(capsys, ("search", "--format", "json", "--bound", str(bound), expr), payload)
+        return payload
+
+    def test_golden_loop_words(self, capsys):
         words = test_golden.loop_words()
         assert len(words) == 361
         for w in words:
-            self.assert_as_json_dumps(analyze(parse(w), bound=3, side="both").to_json())
+            self.assert_ladder(capsys, w)
+            self.assert_chain(capsys, w)
 
-    def test_subcommand_payloads(self):
-        entries = [e._asdict() for e in ladder(parse("[x^1000,y^1000]"))]
-        assert max(abs(e["phi"]) for e in entries).bit_length() > 64
-        self.assert_as_json_dumps(entries)
-        word = parse("[x^3,y]")
-        self.assert_as_json_dumps(
-            {**lift_chain(word).to_json(), "trace": [[i, j] for i, j in lift_trace(word)]}
-        )
-        for bound in (1, 3):
-            self.assert_as_json_dumps(search_with_stats(parse("[x^2,y]"), bound).to_json())
-
-    @pytest.mark.parametrize("obj", [1.5, (1, 2), {1: "one"}, {"a": [[1, 2.0]]}])
-    def test_other_types_raise(self, obj):
-        with pytest.raises(TypeError):
-            cli._json_text(obj)
+    def test_subcommand_payloads(self, capsys):
+        # the identity; Q = 0; a non-loop word with inverse ends; a loop
+        # lifted from its cyclic core; a ladder wider than 64 bits; a long loop
+        long_loop = str(random_loop(20261020, 40000))
+        for expr in ("e", "x^2", "xy^5X", "x^3y^2[x,y]Y^2X^3", "[x^1000,y^1000]", long_loop):
+            self.assert_chain(capsys, expr)
+        assert not lift_chain(parse("x^2")).Q
+        for expr in ("e", "x^3y^2[x,y]Y^2X^3", long_loop):
+            self.assert_ladder(capsys, expr)
+        rungs = self.assert_ladder(capsys, "[x^1000,y^1000]")
+        assert max(abs(e["phi"]) for e in rungs).bit_length() == 75
+        self.assert_ladder(capsys, "[x^1000,y^1000]", depth=200)
+        # a hit with a = e, a miss, and bound 0
+        assert self.assert_search(capsys, "[x,y]^2", 6)["a"] == "e"
+        assert not self.assert_search(capsys, "[x,y]", 2)["found"]
+        assert self.assert_search(capsys, "[x^2,y]", 0) == {
+            "found": False, "a": None, "b": None, "checked": 1, "bound": 0}
 
 
 class TestReportJson:
@@ -224,6 +248,14 @@ class TestReportJson:
         widest = analyze(parse("[x^1000,y^1000]"), bound=0, side=side)  # at the default depth
         self.assert_as_json_dumps(widest)
         assert max(abs(e.phi) for e in widest.ladder).bit_length() == 75
+
+    @pytest.mark.parametrize("kind", ["Unknown", "NotTwoSquares"])
+    def test_verdict_without_reason(self, kind):
+        # a Verdict may be built without a reason, which json.dumps writes null
+        report = analyze(parse("[x,y]"), bound=2)._replace(verdict=Verdict(kind))
+        assert report.verdict.reason is None
+        self.assert_as_json_dumps(report)
+        assert '"reason": null' in cli._report_json(report)
 
     @pytest.mark.parametrize("argv", [
         ("--bound", "3", "[x^2,y]"),
