@@ -6,8 +6,9 @@ Each workload runs against twosquares.kernel (seven of them against
 parse, on the run-length form str(Word) prints, then lift_chain,
 str(Word), lift_chain on conjugated loops, the text of P and Q, the
 factor reports of the loop words of length <= 10, the text check
---format json prints, and cli.main on chain and ladder --format json,
-its output captured) and reports the best wall time of N runs.
+--format json prints, cli.main on chain and ladder --format json, its
+output captured, and analyze on products of two squares) and reports
+the best wall time of N runs.
 """
 
 import argparse
@@ -123,6 +124,11 @@ def bench_cli(argvs):
         return [cli.main(argv) for argv in argvs]
 
 
+def bench_analyze(data):
+    """analyze at bound 2: H's test and the search's sieve share one fold of each word."""
+    return [analyze(w, bound=2) for w in data]
+
+
 def loop_chains(max_len):
     """The chain and phi_1 of every loop word of length <= max_len."""
     chains = (lift_chain(Word(codes)) for n in range(max_len + 1)
@@ -200,6 +206,9 @@ def make_workloads(rng):
                      for _ in range(3)]),
         ("ladder --format json --depth 200 [x^1000,y^1000]",
          bench_cli, [["ladder", "--format", "json", "--depth", "200", "[x^1000,y^1000]"]]),
+        # these pass every parity test and H, then hit in the search
+        ("analyze bound 2 (5 x a^2 b^2, len 40000)",
+         bench_analyze, [Word(square_pair(rng, 2, 40000)) for _ in range(5)]),
     ]
 
 

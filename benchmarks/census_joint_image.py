@@ -38,7 +38,7 @@ def census(max_len):
         s, t = abelianize(g)
         if s % 2 or t % 2:
             continue
-        refuted = quotients.refutes(quotients.images(g.codes))
+        refuted = quotients.refutes(g.codes)
         if (s, t) == (0, 0):
             verdict = analyze(g, bound=5).verdict
             if verdict.reason == JOINT_IMAGE_REASON:

@@ -128,18 +128,16 @@ def _survivors(n, g_images):
     return sel.to_bytes(len(images), "little")
 
 
-def search_square_pair(g, bound, g_images=None):
+def search_square_pair(g, bound):
     """Shortlex search for (a, b) with a*a*b*b == g and len(a) <= bound.
 
     Returns (a, b, checked) on a hit, else (None, None, checked), where
     checked counts the candidate a's examined.  b is the square root of
     a^-2 g and is not length-limited.  On every cached level only the a
     that survive every quotient's sieve are tested; the others cannot be
-    witnesses, and still count in checked.  g is folded once, here, unless
-    g_images is given, which must be quotients.images(g).
+    witnesses, and still count in checked.  quotients.images folds g once per word.
     """
-    if g_images is None:
-        g_images = images(g)
+    g_images = images(g)
     checked = 0
     for n in range(bound + 1):
         candidates = enumerate(_level(n))

@@ -269,11 +269,10 @@ def analyze(
 
     search: Optional[SearchOutcome] = None
     if verdict is None:
-        g_images = quotients.images(w.codes)
-        if quotients.refutes(g_images):
+        if quotients.refutes(w.codes):
             verdict = Verdict("NotTwoSquares", reason=JOINT_IMAGE_REASON)
         else:
-            search = search_with_stats(w, bound, g_images)
+            search = search_with_stats(w, bound)
             if search.witness is not None:
                 verdict = Verdict("TwoSquares", witness=search.witness)
             else:

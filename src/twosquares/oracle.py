@@ -71,18 +71,14 @@ def _search_bound(g: Word, bound: Optional[int]) -> int:
     return min(len(g), DEFAULT_BOUND_CAP) if bound is None else bound
 
 
-def search_with_stats(
-    g: Word, bound: Optional[int] = None, g_images: Optional[tuple[int, ...]] = None
-) -> SearchOutcome:
+def search_with_stats(g: Word, bound: Optional[int] = None) -> SearchOutcome:
     """The shortlex-least witness g = a^2 b^2 with |a| <= bound, and the a's tried.
 
     The bound defaults to |g|, at most DEFAULT_BOUND_CAP.  No witness is
     inconclusive: it rules out witnesses with |a| <= bound only.
-    The sieve folds g once per search; g_images, if given, must be
-    quotients.images(g.codes), and then g is not folded again.
     """
     bound = _search_bound(g, bound)
-    a, b, checked = kernel.search_square_pair(g.codes, bound, g_images)
+    a, b, checked = kernel.search_square_pair(g.codes, bound)
     if a is None:
         return SearchOutcome(None, checked, bound)
     witness = Witness(Word._from_reduced(a), Word._from_reduced(b))

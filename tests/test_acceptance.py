@@ -105,6 +105,20 @@ def test_criterion_4_power_commutator_classification(capsys):
                     assert verdict["kind"] == "NotTwoSquares"
                     assert verdict["reason"] == f"phi_1 = {-m * n} is odd"
                     assert payload["first_obstruction"] == {"k": 1, "value": -m * n, "side": "phi"}
+        # the paper's theorem up to 40: phi_1 refutes every odd mn, and no
+        # refuter (ladder, factor criterion, H) refutes a product of two squares;
+        # --bound 0 keeps the capped search, Unknown from m = 26, out of it
+        for m in range(1, 41):
+            for n in range(1, 41):
+                code = cli_main(["check", "--format", "json", "--bound", "0", f"[x^{m},y^{n}]"])
+                verdict = json.loads(capsys.readouterr().out)["verdict"]
+                if (m * n) % 2:
+                    assert (verdict["kind"], code) == ("NotTwoSquares", 0), (m, n)
+                    assert verdict["reason"] == f"phi_1 = {-m * n} is odd"
+                else:
+                    assert (verdict["kind"], code) == ("Unknown", 2), (m, n)
+                    a, b = _explicit_witness(m, n)
+                    assert a * a * b * b == commutator(X**m, Y**n)
 
 
 def test_criterion_5_ladder_realizing_words():

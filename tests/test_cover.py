@@ -206,11 +206,17 @@ class TestTrace:
 
 class TestChainLaws:
     def test_cycle_law(self, rng):
-        for _ in range(300):
-            w = random_loop(rng)
+        # (P, Q) is Fox's (dw/dx, dw/dy) mapped to Z[x^±1, y^±1], and his fundamental
+        # formula makes P(x - 1) + Q(y - 1) = x^a y^b - 1 on any word, 0 on a loop
+        loops = [random_loop(rng) for _ in range(300)]
+        for w in loops:
             c = lift_chain(w)
             assert c.P.eval11() == 0
             assert c.Q.eval11() == 0
+        for w in loops + [random_reduced(rng, rng.randrange(61)) for _ in range(300)]:
+            c = lift_chain(w)
+            a, b = abelianize(w)
+            assert c.P * (X - ONE) + c.Q * (Y - ONE) == Laurent2({(a, b): 1}) - ONE, w
 
     def test_deck_law(self, rng):
         for _ in range(500):

@@ -209,7 +209,7 @@ def test_pure_search_basics():
 
 
 def clear_search_caches():
-    for cached in (_kernel_py._cached_level, quotients.maps, _kernel_py._cached_images):
+    for cached in (_kernel_py._cached_level, quotients.maps, _kernel_py._cached_images, quotients.images):
         cached.cache_clear()
 
 
@@ -384,17 +384,7 @@ class TestQuotientSieve:
         assert [checked for _, _, checked in got] == [36, 108, 324, 485, 36, 4373]
         assert got[:4] == [ref_search(g, bound) for g, bound in targets[:4]]
 
-    def test_given_images_change_no_result(self):
-        # with g's images given, g is not folded again; the result is the same
-        rng = random.Random(12)
-        targets = [ref_reduce(bytes(rng.randrange(4) for _ in range(n))) for n in (6, 700, 25000)]
-        a = next(words_of_length(4))
-        targets += [mul(mul(a, a), mul(g, g)) for g in targets]
-        for g in targets:
-            assert search_square_pair(g, 6, quotients.images(g)) == search_square_pair(g, 6)
-
-    @pytest.mark.parametrize("given", [False, True], ids=["folded_by_the_search", "images_given"])
-    def test_every_cached_level_is_sieved(self, monkeypatch, given):
+    def test_every_cached_level_is_sieved(self, monkeypatch):
         # an odd x exponent sum: no witness, so the search goes through every level
         rng = random.Random(14)
         targets = []
@@ -413,7 +403,7 @@ class TestQuotientSieve:
         monkeypatch.setattr(_kernel_py, "_survivors", recorded)
         for g in targets:
             sieved.clear()
-            got = search_square_pair(g, 6, quotients.images(g) if given else None)
+            got = search_square_pair(g, 6)
             assert got == (None, None, 2 * 3**6 - 1), len(g)
             assert sieved == list(range(7)), len(g)
 

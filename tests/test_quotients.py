@@ -67,15 +67,34 @@ def test_reason_and_precedence():
     )
     assert report.search is None  # the search is skipped
     # an earlier test keeps its reason on a word H also refutes
-    assert quotients.refutes(quotients.images(parse("[x,y]").codes))
+    assert quotients.refutes(parse("[x,y]").codes)
     assert analyze(parse("[x,y]")).verdict.reason == "phi_1 = -1 is odd"
+
+
+def test_one_fold_per_word(monkeypatch):
+    # a whole word is packed, then folded; the search's cached levels are folded unpacked
+    packed = []
+    pack = quotients.pack
+    monkeypatch.setattr(quotients, "pack", lambda word: packed.append(word) or pack(word))
+
+    def packs(run):
+        quotients.images.cache_clear()
+        packed.clear()
+        return run(), len(packed)
+
+    report, n = packs(lambda: analyze(parse("[x^2,y]"), bound=3))
+    assert (report.verdict.kind, n) == ("TwoSquares", 1)  # H passes it, then the search hits
+    report, n = packs(lambda: analyze(parse("x^3yX^2yXY^2")))
+    assert (report.verdict.reason, n) == (JOINT_IMAGE_REASON, 1)
+    assert packs(lambda: search_with_stats(parse("[x,y]^2"), 3))[1] == 1
+    assert packs(lambda: [search_with_stats(parse(e), 3) for e in ("[x^2,y]", "[x,y]^2")])[1] == 2
 
 
 def test_refutations_up_to_length_8_are_sound():
     loops = nonloops = 0
     for g in enumerate_reduced(8):
         s, t = abelianize(g)
-        if s % 2 or t % 2 or not quotients.refutes(quotients.images(g.codes)):
+        if s % 2 or t % 2 or not quotients.refutes(g.codes):
             continue
         verdict = analyze(g).verdict
         assert verdict.kind == "NotTwoSquares", g
