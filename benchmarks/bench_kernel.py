@@ -1,6 +1,6 @@
 """Time the word kernel on its hot operations.
 
-Usage: python3 benchmarks/bench_kernel.py [--repeats N]
+Usage: python3 benchmarks/bench_kernel.py [--repeats N] [--json PATH]
 
 Each workload runs against twosquares.kernel (seven of them against
 parse, on the run-length form str(Word) prints, then lift_chain,
@@ -8,12 +8,15 @@ str(Word), lift_chain on conjugated loops, the text of P and Q, the
 factor reports of the loop words of length <= 10, the text check
 --format json prints, cli.main on chain and ladder --format json, its
 output captured, and analyze on products of two squares) and reports
-the best wall time of N runs.
+the best wall time of N runs.  --json also writes the rows (name and
+best ms), the repeats, the Python version and the kernel backend to PATH.
 """
 
 import argparse
 import contextlib
 import io
+import json
+import platform
 import random
 import time
 
@@ -212,15 +215,23 @@ def make_workloads(rng):
     ]
 
 
-def run(repeats):
+def run(repeats, json_path=None):
     workloads = make_workloads(random.Random(20260809))
     width = max(len(name) for name, _, _ in workloads)
     header = f"{'benchmark':<{width}}  {'time':>12}"
     print(header)
     print("-" * len(header))
+    rows = []
     for name, fn, data in workloads:
         best = min(_timed(fn, data) for _ in range(repeats))
         print(f"{name:<{width}}  {best * 1000:>10.1f}ms")
+        rows.append({"name": name, "best_ms": round(best * 1000, 3)})
+    if json_path is not None:
+        record = {"python": platform.python_version(), "backend": kernel.BACKEND,
+                  "repeats": repeats, "rows": rows}
+        with open(json_path, "w") as out:
+            json.dump(record, out, indent=2)
+            out.write("\n")
 
 
 def _timed(fn, data):
@@ -233,7 +244,10 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3,
                         help="take the best of this many runs (default 3)")
-    run(parser.parse_args().repeats)
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the rows, repeats, Python version and backend to PATH")
+    args = parser.parse_args()
+    run(args.repeats, args.json)
 
 
 if __name__ == "__main__":

@@ -4,10 +4,12 @@ A word is a ``bytes`` string over the four letter codes 0 = x, 1 = x^-1,
 2 = y, 3 = y^-1, so the inverse of a letter is ``letter ^ 1``.  All
 functions assume their inputs are freely reduced unless stated otherwise,
 and always return reduced words.  ``kernel`` re-exports these names.
+The witness search sieves its candidates up to length 8 with one mask
+over one kept table.
 """
 
 import functools
-from itertools import compress
+from itertools import chain, compress, repeat
 
 from .quotients import images, maps
 
@@ -91,7 +93,7 @@ def words_of_length(n):
                 yield prefix + c
 
 
-# Levels up to this length are kept once built: 13,121 pairs, about 2 MB.
+# Tables up to this length are kept once built: 13,121 candidates, about 2 MB.
 _CACHED_LEVELS = 8
 
 
@@ -100,32 +102,18 @@ def _with_inverse_square(a):
     return a, mul(ia, ia)
 
 
-@functools.cache  # two threads building a level at once each get an equal tuple
-def _cached_level(n):
-    return tuple(map(_with_inverse_square, words_of_length(n)))
+@functools.cache  # two threads building a table at once each get an equal one
+def _table(top):
+    """(pairs, columns): every (a, a^-2) with |a| <= top in shortlex order,
+    and for each quotient its image of each a, one byte per a.
 
-
-def _level(n):
-    """Every (a, a^-2) with |a| = n, in words_of_length order; longer levels are streamed."""
-    if n <= _CACHED_LEVELS:
-        return _cached_level(n)
-    return map(_with_inverse_square, words_of_length(n))
-
-
-@functools.cache
-def _cached_images(n):
-    """For each quotient, the image of each a in _cached_level(n), one byte per a."""
-    level = _cached_level(n)
+    A table is the one below it plus level top, so the pairs are shared.
+    """
+    pairs, columns = _table(top - 1) if top else ((), repeat(b""))
+    level = tuple(map(_with_inverse_square, words_of_length(top)))
     # at most 8 letters: too short to gain from packing, so folded letter by letter
-    return tuple(bytes(q.fold(b"", a) for a, _ in level) for q in maps())
-
-
-def _survivors(n, g_images):
-    """One byte per a in _cached_level(n): nonzero unless a quotient rules that a out."""
-    sel = -1
-    for q, images, h in zip(maps(), _cached_images(n), g_images):
-        sel &= int.from_bytes(images.translate(q.good[h]), "little")
-    return sel.to_bytes(len(images), "little")
+    return pairs + level, tuple(column + bytes(q.fold(b"", a) for a, _ in level)
+                                for q, column in zip(maps(), columns))
 
 
 def search_square_pair(g, bound):
@@ -133,19 +121,21 @@ def search_square_pair(g, bound):
 
     Returns (a, b, checked) on a hit, else (None, None, checked), where
     checked counts the candidate a's examined.  b is the square root of
-    a^-2 g and is not length-limited.  On every cached level only the a
-    that survive every quotient's sieve are tested; the others cannot be
-    witnesses, and still count in checked.  quotients.images folds g once per word.
+    a^-2 g and is not length-limited.  Up to length 8 the candidates come
+    from one kept table, and one mask over it keeps the a that survive
+    every quotient's sieve; the others cannot be witnesses, and still
+    count in checked.  Longer lengths are streamed and not sieved.
+    quotients.images folds g once per word.
     """
-    g_images = images(g)
-    checked = 0
-    for n in range(bound + 1):
-        candidates = enumerate(_level(n))
-        if n <= _CACHED_LEVELS:
-            candidates = compress(candidates, _survivors(n, g_images))
-        for i, (a, ia2) in candidates:
-            s = square_root(mul(ia2, g))
-            if s is not None:
-                return a, s, checked + i + 1
-        checked += 4 * 3 ** (n - 1) if n else 1  # skipped candidates too
-    return None, None, checked
+    pairs, columns = _table(min(bound, _CACHED_LEVELS))
+    sel = -1
+    for q, column, h in zip(maps(), columns, images(g)):
+        sel &= int.from_bytes(column.translate(q.good[h]), "little")
+    streamed = chain.from_iterable(map(words_of_length, range(_CACHED_LEVELS + 1, bound + 1)))
+    candidates = chain(compress(enumerate(pairs, 1), sel.to_bytes(len(pairs), "little")),
+                       enumerate(map(_with_inverse_square, streamed), len(pairs) + 1))
+    for checked, (a, ia2) in candidates:
+        s = square_root(mul(ia2, g))
+        if s is not None:
+            return a, s, checked
+    return None, None, 2 * 3**bound - 1  # every reduced a with |a| <= bound

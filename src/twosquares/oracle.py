@@ -6,10 +6,11 @@ iff a^-2 g is a square, and square roots in a free group are unique and
 checkable in linear time.  The length bound applies to a only, so a miss
 means "no witness with |a| <= bound", never a proof of impossibility.
 
-The kernel may skip a candidate it can rule out early (its candidate
-table and finite-quotient sieve are described in ``_kernel_py`` and
-``quotients``), but skipped candidates still count in ``checked``, so
-every witness, count and output is what the plain shortlex scan gives.
+The kernel may skip a candidate it can rule out early: up to length 8
+one mask over its kept candidate table sieves them through four finite
+quotients (see ``_kernel_py`` and ``quotients``).  Skipped candidates
+still count in ``checked``, so every witness, count and output is what
+the plain shortlex scan gives.
 """
 
 from __future__ import annotations

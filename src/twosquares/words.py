@@ -89,7 +89,9 @@ class Word:
         return hash(self._letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word._from_reduced(kernel.mul(self._letters, other._letters))
+        u, v = self._letters, other._letters
+        k = _seam(u, v)
+        return Word._from_reduced(u[: len(u) - k] + v[k:])
 
     def __invert__(self) -> "Word":
         return Word._from_reduced(kernel.inv(self._letters))
@@ -381,12 +383,17 @@ def _common_suffix(a: bytes, lo: int, hi: int, b: bytes, end: int) -> int:
     return found
 
 
+def _seam(u: bytes, v: bytes) -> int:
+    """How many letters cancel where reduced u meets reduced v."""
+    if not (u and v and u[-1] == v[0] ^ 1):  # most seams do not cancel
+        return 0
+    # the inverse of v[:k] is the end of the inverse of v[:most]
+    most = min(len(u), len(v))
+    return _common_suffix(u, 0, len(u), kernel.inv(v, most), most)
+
+
 def _merge(buf: bytearray, codes: bytes) -> None:
     """buf := reduce(buf + codes), for reduced buf and codes."""
-    k = 0
-    if buf and codes and buf[-1] == codes[0] ^ 1:
-        # the inverse of codes[:k] is the end of the inverse of codes[:most]
-        most = min(len(buf), len(codes))
-        k = _common_suffix(buf, 0, len(buf), kernel.inv(codes, most), most)
-        del buf[-k:]
+    k = _seam(buf, codes)
+    del buf[len(buf) - k :]
     buf += codes[k:]

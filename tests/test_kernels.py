@@ -6,8 +6,9 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from itertools import product
+from itertools import compress, product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,10 +194,12 @@ def test_words_of_length_deeper_than_the_recursion_limit():
     assert next(words_of_length(5000)) == bytes(5000)
 
 
+# at each bound 0-6 the search sieves one table, here checked against the plain scan
+@pytest.mark.parametrize("bound", range(7))
 @settings(max_examples=200, deadline=None)
 @given(search_targets())
-def test_search_matches_brute_force_scan(g):
-    assert search_square_pair(g, 5) == ref_search(g, 5)
+def test_search_matches_brute_force_scan(bound, g):
+    assert search_square_pair(g, bound) == ref_search(g, bound)
 
 
 def test_pure_search_basics():
@@ -209,23 +212,50 @@ def test_pure_search_basics():
 
 
 def clear_search_caches():
-    for cached in (_kernel_py._cached_level, quotients.maps, _kernel_py._cached_images, quotients.images):
+    for cached in (_kernel_py._table, quotients.maps, quotients.images):
         cached.cache_clear()
 
 
+def table_mask(g, bound):
+    """The mask the search builds for g: a byte per candidate of its table, 0 if sieved out."""
+    masks = []
+
+    def recorded(data, selectors):
+        masks.append(selectors)
+        return compress(data, selectors)
+
+    with mock.patch.object(_kernel_py, "compress", recorded):
+        search_square_pair(g, bound)
+    [mask] = masks
+    return mask
+
+
 class TestCandidateTable:
-    """The search draws (a, a^-2) from levels kept up to length 8 and streams longer ones."""
+    """The search draws (a, a^-2) from tables kept up to length 8 and streams longer lengths."""
 
     def test_cached_levels_are_the_inverse_squares(self):
-        for n in range(_kernel_py._CACHED_LEVELS + 1):
-            want = [(a, mul(inv(a), inv(a))) for a in words_of_length(n)]
-            assert list(_kernel_py._cached_level(n)) == want, n
+        for top in range(_kernel_py._CACHED_LEVELS + 1):
+            pairs, columns = _kernel_py._table(top)
+            short = reduced_up_to(top)
+            assert list(pairs) == [(a, mul(inv(a), inv(a))) for a in short], top
+            assert list(zip(*columns)) == list(map(quotients.images, short)), top
+        # each table extends the one below it, so the pairs are the same objects
+        below, top = _kernel_py._table(5)[0], _kernel_py._table(6)[0]
+        assert all(x is y for x, y in zip(below, top))
 
-    def test_streamed_level_matches_the_definition(self):
-        n = _kernel_py._CACHED_LEVELS + 1
-        got = _kernel_py._level(n)
-        want = ((a, mul(inv(a), inv(a))) for a in words_of_length(n))
-        assert all(x == y for x, y in zip(got, want, strict=True))
+    def test_streamed_level_matches_the_definition(self, monkeypatch):
+        # [x,y] has no witness, so past the table every a of length 9 is tested, in order
+        g = bytes([0, 2, 1, 3])
+        tested = []
+
+        def recorded(w):
+            tested.append(w)
+            return square_root(w)
+
+        monkeypatch.setattr(_kernel_py, "square_root", recorded)
+        assert search_square_pair(g, 9) == (None, None, 2 * 3**9 - 1)
+        streamed = tested[-4 * 3**8:]
+        assert streamed == [mul(mul(inv(a), inv(a)), g) for a in words_of_length(9)]
 
     @pytest.mark.parametrize("expr, checked", [
         ("[x,y]", 39365),  # a miss: every level, the streamed one too
@@ -248,13 +278,12 @@ class TestCandidateTable:
 
     def test_import_builds_no_level(self):
         code = ("import twosquares; from twosquares import _kernel_py as k, quotients as q; "
-                "print([f.cache_info().currsize for f in "
-                "(k._cached_level, q.maps, k._cached_images)])")
+                "print([f.cache_info().currsize for f in (k._table, q.maps)])")
         # the same package as this process, whether installed or on PYTHONPATH
         env = {**os.environ, "PYTHONPATH": str(Path(twosquares.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True).stdout
-        assert out == "[0, 0, 0]\n"
+        assert out == "[0, 0]\n"
 
     def test_miss_past_the_cap_keeps_memory_bounded(self):
         clear_search_caches()
@@ -265,9 +294,8 @@ class TestCandidateTable:
         finally:
             tracemalloc.stop()
         assert got == (None, None, 39365)
-        # levels 0..8 and their images are kept, level 9 is streamed unsieved and dropped
-        assert _kernel_py._cached_level.cache_info().currsize == _kernel_py._CACHED_LEVELS + 1
-        assert _kernel_py._cached_images.cache_info().currsize == _kernel_py._CACHED_LEVELS + 1
+        # the tables up to lengths 0..8 are kept, length 9 is streamed unsieved and dropped
+        assert _kernel_py._table.cache_info().currsize == _kernel_py._CACHED_LEVELS + 1
         assert peak < 3 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
 
 
@@ -311,13 +339,9 @@ def searched_loop_words():
 
 def kept_at_lengths_3_to_5(g):
     """How many of the 468 candidates of length 3-5 survive the sieve for g."""
-    g_images = quotients.images(g)
-    kept = 0
-    for n in range(3, 6):
-        sel = _kernel_py._survivors(n, g_images)
-        assert len(sel) == 4 * 3 ** (n - 1), (n, len(sel))  # one byte for every candidate
-        kept += len(sel) - sel.count(0)
-    return kept
+    mask = table_mask(g, 5)
+    assert len(mask) == 485  # one byte for every candidate of length <= 5
+    return 468 - mask.count(0, 17, 485)
 
 
 class TestQuotientSieve:
@@ -359,18 +383,14 @@ class TestQuotientSieve:
 
     @pytest.mark.parametrize("first_sieved", [0, 10**9])
     def test_where_the_sieve_starts_changes_no_result(self, monkeypatch, first_sieved):
-        # lengths below first_sieved pass every candidate: 0 is the search's own rule,
-        # 10**9 sieves no length; the a^2 b^2 of about 720 letters and b itself are
-        # checked against the plain scan, while on the two words of about 25k letters
-        # at bound 7 that scan is too slow for the suite, so they are pinned only
-        survivors = _kernel_py._survivors
-
-        def from_first_sieved(n, g_images):
-            if n < first_sieved:
-                return b"\x01" * len(_kernel_py._cached_level(n))
-            return survivors(n, g_images)
-
-        monkeypatch.setattr(_kernel_py, "_survivors", from_first_sieved)
+        # one mask sieves every length of the table or none: 0 is the search's own rule,
+        # and 10**9 sieves no length, every quotient's good table keeping every candidate;
+        # the a^2 b^2 of about 720 letters and b itself are checked against the plain scan,
+        # while on the two words of about 25k letters at bound 7 that scan is too slow for
+        # the suite, so they are pinned only
+        if first_sieved:
+            for q in quotients.maps():
+                monkeypatch.setattr(q, "good", (b"\x01" * 256,) * len(q.elements))
         rng = random.Random(11)
         b = ref_reduce(bytes(rng.randrange(4) for _ in range(700)))
         long_b = ref_reduce(bytes(rng.randrange(4) for _ in range(25000)))
@@ -383,29 +403,25 @@ class TestQuotientSieve:
         assert [a for a, _, _ in got] == a_s + [None, a_s[0], None]
         assert [checked for _, _, checked in got] == [36, 108, 324, 485, 36, 4373]
         assert got[:4] == [ref_search(g, bound) for g, bound in targets[:4]]
+        assert (0 in table_mask(b, 5)) == (first_sieved == 0)  # the stand-in keeps every a
 
-    def test_every_cached_level_is_sieved(self, monkeypatch):
-        # an odd x exponent sum: no witness, so the search goes through every level
+    def test_every_cached_level_is_sieved(self):
+        # an odd x exponent sum: no witness, so the search goes through every candidate,
+        # and its mask keeps an a of length <= 6 iff every quotient's good table keeps it
         rng = random.Random(14)
-        targets = []
+        table = reduced_up_to(6)
+
+        def kept(q, h, u):
+            return q.good[h][u]
+
         for n in (6, 700, 25000):
             g = random_reduced(rng, n)
             while (g.count(0) - g.count(1)) % 2 == 0:
                 g = random_reduced(rng, n)
-            targets.append(g)
-        sieved = []
-        survivors = _kernel_py._survivors
-
-        def recorded(n, g_images):
-            sieved.append(n)
-            return survivors(n, g_images)
-
-        monkeypatch.setattr(_kernel_py, "_survivors", recorded)
-        for g in targets:
-            sieved.clear()
-            got = search_square_pair(g, 6)
-            assert got == (None, None, 2 * 3**6 - 1), len(g)
-            assert sieved == list(range(7)), len(g)
+            assert search_square_pair(g, 6) == (None, None, 2 * 3**6 - 1), n
+            g_images = quotients.images(g)
+            want = bytes(all(map(kept, quotients.maps(), g_images, quotients.images(a))) for a in table)
+            assert table_mask(g, 6) == want, n
 
     def test_packed_fold_is_the_letter_fold(self):
         # every length mod 4 up to 40, and long words, whose packed bytes take all 256 values

@@ -17,6 +17,7 @@ from twosquares import (
     commutator,
     conjugate,
     in_commutator_subgroup,
+    kernel,
     parse,
     square_root,
 )
@@ -305,6 +306,13 @@ class TestSeams:
         v = ~Word(u.codes[len(u) - tail:]) * Word(data.draw(letters))
         assert parse(f"({u})({v})") == u * v
 
+    def test_long_product_cancels_fast(self):
+        # kernel.mul's letter-by-letter seam took 92 ms on this (2-vCPU host)
+        u, v = parse("x^524288"), parse("X^524288")
+        assert u * v == Word()
+        elapsed = min(timeit.repeat(lambda: u * v, number=1, repeat=3))
+        assert elapsed < 0.020, f"{elapsed * 1000:.1f} ms"
+
 
 FUZZ_ALPHABET = "xXyYe()[],^-0123 9"
 FLAT_FUZZ_ALPHABET = "xXyY^0123456789"
@@ -513,10 +521,13 @@ class TestGroupOps:
             assert Word(codes).codes == naive_reduce(codes)
 
     def test_product_matches_naive_oracle(self, rng):
-        for _ in range(500):
-            u = random_reduced(rng, rng.randrange(12))
-            v = random_reduced(rng, rng.randrange(12))
-            assert (u * v).codes == naive_reduce(u.codes + v.codes)
+        for i in range(1000):
+            u = random_reduced(rng, rng.randrange(30))
+            v = random_reduced(rng, rng.randrange(30))
+            if i % 2:  # v starts with the inverse of a tail of u, and Word() reduces the rest
+                v = Word(kernel.inv(u.codes[len(u) - rng.randrange(len(u) + 1):]) + v.codes)
+            want = naive_reduce(u.codes + v.codes)
+            assert (u * v).codes == want == kernel.mul(u.codes, v.codes), (u, v)
 
     def test_invert_involution_and_inverse_law(self, rng):
         for _ in range(300):
