@@ -7,9 +7,10 @@ parse, on the run-length form str(Word) prints, then lift_chain,
 str(Word), lift_chain on conjugated loops, the text of P and Q, the
 factor reports of the loop words of length <= 10, the text check
 --format json prints, cli.main on chain and ladder --format json, its
-output captured, and analyze on products of two squares) and reports
-the best wall time of N runs.  --json also writes the rows (name and
-best ms), the repeats, the Python version and the kernel backend to PATH.
+output captured, analyze on products of two squares, and square_root
+and the search on conjugated words) and reports the best wall time of
+N runs.  --json also writes the rows (name and best ms), the repeats,
+the Python version and the kernel backend to PATH.
 """
 
 import argparse
@@ -58,12 +59,23 @@ def short_loops(rng, count, lo, hi):
     return loops
 
 
-def conjugated_commutator(rng, length):
-    """h [x^m, y^n] h^-1 of about length letters, 48 <= m, n <= 72."""
-    m, n = rng.randint(48, 72), rng.randint(48, 72)
+def conjugated_commutator(rng, length, m_step=1):
+    """h [x^m, y^n] h^-1 of about length letters, 48 <= m, n <= 72, m a multiple of m_step."""
+    m, n = rng.randrange(48, 73, m_step), rng.randint(48, 72)
     core = commutator(Word("x") ** m, Word("y") ** n)
     h = Word(random_reduced_codes(rng, (length - len(core)) // 2))
     return conjugate(core, h)
+
+
+def conjugated_square(rng, length, prefix):
+    """h c c h^-1 of exactly length letters, for random reduced h of prefix
+    letters and c cyclically reduced; redrawn until nothing cancels."""
+    while True:
+        h = random_reduced_codes(rng, prefix)
+        c = random_reduced_codes(rng, (length - 2 * prefix) // 2)
+        w = kernel.mul(kernel.mul(h, kernel.mul(c, c)), kernel.inv(h))
+        if len(w) == length:
+            return w
 
 
 def square_pair(rng, a_length, length):
@@ -212,6 +224,13 @@ def make_workloads(rng):
         # these pass every parity test and H, then hit in the search
         ("analyze bound 2 (5 x a^2 b^2, len 40000)",
          bench_analyze, [Word(square_pair(rng, 2, 40000)) for _ in range(5)]),
+        # drawn last, so that they change none of the words drawn above; the
+        # square test peels the 15,000-letter h, or the conjugator of the
+        # shape of the long workload's even cores
+        ("square_root conjugated (5 x len 40000, prefix 15000)",
+         bench_square_root, [conjugated_square(rng, 40000, 15000) for _ in range(5)]),
+        ("search miss conjugated core (5 x len 40000, bound 2)",
+         bench_search, [(conjugated_commutator(rng, 40000, 2).codes, 2) for _ in range(5)]),
     ]
 
 

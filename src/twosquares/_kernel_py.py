@@ -4,8 +4,10 @@ A word is a ``bytes`` string over the four letter codes 0 = x, 1 = x^-1,
 2 = y, 3 = y^-1, so the inverse of a letter is ``letter ^ 1``.  All
 functions assume their inputs are freely reduced unless stated otherwise,
 and always return reduced words.  ``kernel`` re-exports these names.
-The witness search sieves its candidates up to length 8 with one mask
-over one kept table.
+Products and square roots find what cancels by one bisection,
+``_common_suffix``: ``_seam`` where two words meet, ``_peel`` where a
+word's ends meet; ``words`` uses the same three.  The witness search
+sieves its candidates up to length 8 with one mask over one kept table.
 """
 
 import functools
@@ -27,16 +29,11 @@ def reduce_word(letters):
     return bytes(out)
 
 
-# mul and square_root loop by letter: a bisection in mul slowed analyze(bound=5) by 4-28%.
 def mul(u, v):
     """Product of two reduced words; cancellation happens only at the seam."""
-    i = len(u) - 1
-    j = 0
-    nv = len(v)
-    while i >= 0 and j < nv and u[i] == v[j] ^ 1:
-        i -= 1
-        j += 1
-    return u[: i + 1] + v[j:]
+    k = _seam(u, v)
+    # most of the search's seams cancel nothing, and u + v makes no slices
+    return u[: len(u) - k] + v[k:] if k else u + v
 
 
 _INV = bytes.maketrans(b"\x00\x01\x02\x03", b"\x01\x00\x03\x02")
@@ -53,24 +50,56 @@ def inv(u, n=None):
 def square_root(w):
     """The unique v with v*v == w, or None.
 
-    Peel inverse letter pairs from the two ends until the core is
-    cyclically reduced; w is a square iff that core is two equal halves,
-    and then the root is (peeled prefix) + (half) + (peeled suffix).
+    w = s c s^-1 with c cyclically reduced, by the peel; w is a square iff
+    c is two equal halves, and then the root is s + (half of c) + s^-1.
     """
     n = len(w)
-    if n == 0:
-        return b""
-    lo, hi = 0, n - 1
-    while lo < hi and w[lo] == w[hi] ^ 1:
-        lo += 1
-        hi -= 1
-    m = hi - lo + 1
-    if m % 2:
+    if n % 2:  # then c, of n - 2|s| letters, is odd too
         return None
-    half = m // 2
-    if w[lo : lo + half] != w[lo + half : hi + 1]:
+    p = _peel(w)
+    mid = n // 2
+    if w[p:mid] != w[mid : n - p]:
         return None
-    return w[: lo + half] + w[hi + 1 :]
+    return w[:mid] + w[n - p :]
+
+
+def _common_suffix(a, lo, hi, b, end, found):
+    """Longest common suffix of a[lo:hi] and b[:end], known to be at least
+    found; bisection, no copies."""
+    most = min(hi - lo, end)
+    view = memoryview(b)
+    while found < most:
+        mid = (found + most + 1) // 2
+        if a.endswith(view[end - mid : end], lo, hi):
+            found = mid
+        else:
+            most = mid - 1
+    return found
+
+
+def _seam(u, v):
+    """How many letters cancel where reduced u meets reduced v."""
+    if not (u and v and u[-1] == v[0] ^ 1):  # most seams do not cancel
+        return 0
+    most = min(len(u), len(v))
+    if most == 1 or u[-2] != v[1] ^ 1:  # most that do cancel one letter
+        return 1
+    # the inverse of v[:k] is the end of the inverse of v[:most]
+    return _common_suffix(u, 0, len(u), inv(v, most), most, 2)
+
+
+def _peel(w):
+    """The p with w = s c s^-1, |s| = p and c cyclically reduced, for reduced w.
+
+    The last p letters of w are the inverse of its first p, so p is the
+    longest common suffix of the last half of w and w^-1.
+    """
+    if not w or w[0] != w[-1] ^ 1:
+        return 0
+    n = len(w)
+    if n < 4 or w[1] != w[-2] ^ 1:
+        return 1
+    return _common_suffix(w, n - n // 2, n, inv(w), n, 2)
 
 
 _FIRST = tuple(bytes((c,)) for c in range(4))

@@ -11,6 +11,7 @@ import re
 from typing import Iterable, Optional, Union
 
 from . import kernel
+from ._kernel_py import _common_suffix, _peel, _seam
 
 _CHARS = "xXyY"
 _CODE_OF = {"x": 0, "X": 1, "y": 2, "Y": 3}
@@ -89,9 +90,7 @@ class Word:
         return hash(self._letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        u, v = self._letters, other._letters
-        k = _seam(u, v)
-        return Word._from_reduced(u[: len(u) - k] + v[k:])
+        return Word._from_reduced(kernel.mul(self._letters, other._letters))
 
     def __invert__(self) -> "Word":
         return Word._from_reduced(kernel.inv(self._letters))
@@ -250,7 +249,7 @@ def parse(expr: str) -> Word:
             _merge(uv, buf)
             _merge(buf, left)
             # the seam of (uv)(vu)^-1 cancels their longest common suffix
-            k = _common_suffix(uv, 0, len(uv), buf, len(buf))
+            k = _common_suffix(uv, 0, len(uv), buf, len(buf), 0)
             if len(uv) + len(buf) - 2 * k > MAX_LETTERS:
                 raise ParseError(_TOO_LONG, m.start(1))
             del uv[len(uv) - k :], buf[len(buf) - k :]
@@ -345,16 +344,6 @@ def _exponent(sign: str, digits: str, start: int) -> int:
     return -value if sign else value
 
 
-def _peel(codes: bytes) -> int:
-    """The p with w = s c s^-1, |s| = p and c cyclically reduced, for reduced w.
-
-    The last p letters of w are the inverse of its first p, so p is the
-    longest common suffix of the last half of w and w^-1.
-    """
-    n = len(codes)
-    return _common_suffix(codes, n - n // 2, n, kernel.inv(codes), n)
-
-
 def _power(codes: bytes, n: int, p: int) -> bytes:
     """w^n = s c^n s^-1 for reduced w with peel p; c is cyclically reduced, so none cancels."""
     if n == 0:
@@ -363,33 +352,6 @@ def _power(codes: bytes, n: int, p: int) -> bytes:
     if n < 0:
         core, n = kernel.inv(core), -n
     return codes[:p] + core * n + codes[len(codes) - p :]
-
-
-def _common_suffix(a: bytes, lo: int, hi: int, b: bytes, end: int) -> int:
-    """Longest common suffix of a[lo:hi] and b[:end]; bisection, no copies."""
-    most = min(hi - lo, end)
-    if not most or a[hi - 1] != b[end - 1]:  # most seams do not cancel
-        return 0
-    if most == 1 or a[hi - 2] != b[end - 2]:  # most that do cancel one letter
-        return 1
-    view = memoryview(b)
-    found = 2
-    while found < most:
-        mid = (found + most + 1) // 2
-        if a.endswith(view[end - mid : end], lo, hi):
-            found = mid
-        else:
-            most = mid - 1
-    return found
-
-
-def _seam(u: bytes, v: bytes) -> int:
-    """How many letters cancel where reduced u meets reduced v."""
-    if not (u and v and u[-1] == v[0] ^ 1):  # most seams do not cancel
-        return 0
-    # the inverse of v[:k] is the end of the inverse of v[:most]
-    most = min(len(u), len(v))
-    return _common_suffix(u, 0, len(u), kernel.inv(v, most), most)
 
 
 def _merge(buf: bytearray, codes: bytes) -> None:

@@ -307,10 +307,30 @@ class TestSeams:
         assert parse(f"({u})({v})") == u * v
 
     def test_long_product_cancels_fast(self):
-        # kernel.mul's letter-by-letter seam took 92 ms on this (2-vCPU host)
+        # a letter-by-letter seam took 92 ms on this (2-vCPU host); Word
+        # products are kernel.mul, which bisects
         u, v = parse("x^524288"), parse("X^524288")
         assert u * v == Word()
-        elapsed = min(timeit.repeat(lambda: u * v, number=1, repeat=3))
+        assert kernel.mul(u.codes, v.codes) == b""
+        for product in (lambda: u * v, lambda: kernel.mul(u.codes, v.codes)):
+            elapsed = min(timeit.repeat(product, number=1, repeat=3))
+            assert elapsed < 0.020, f"{elapsed * 1000:.1f} ms"
+
+    def test_long_square_root_peels_fast(self, rng):
+        # w = s c c s^-1 with |s| = 500,000: a letter-by-letter peel took
+        # 82 ms on this (2-vCPU host); square_root peels by bisection
+        s = random_reduced(rng, 499_999)
+        s = s * Word("Y" if s.codes[-1] == 3 else "y")  # ends in y or Y
+        c, d = Word("xyxYxyXYXyx"), Word("xYXyxyxYxyx")  # begin and end with x
+        w = s * c * c * ~s
+        assert len(s) == 500_000 and len(w) == 1_000_022 <= MAX_LETTERS
+        assert square_root(w) == s * c * ~s
+        # the same halves without s: the first letter is not the inverse of the last
+        assert square_root(c * c) == c
+        # cores of two unequal halves are not squares, peeled or not
+        assert square_root(s * c * d * ~s) is None
+        assert square_root(c * d) is None
+        elapsed = min(timeit.repeat(lambda: kernel.square_root(w.codes), number=1, repeat=3))
         assert elapsed < 0.020, f"{elapsed * 1000:.1f} ms"
 
 
