@@ -4,8 +4,8 @@ Usage: python3 benchmarks/bench_kernel.py [--repeats N] [--json PATH]
 
 Each workload runs against twosquares.kernel (seven of them against
 parse, on the run-length form str(Word) prints, then lift_chain,
-str(Word), lift_chain on conjugated loops, the text of P and Q, the
-factor reports of the loop words of length <= 10, the text check
+str(Word), lift_chain on conjugated loops, the text of P and Q, P's
+factor report on the loop words of length <= 10, the text check
 --format json prints, cli.main on chain and ladder --format json, its
 output captured, analyze on products of two squares, and square_root
 and the search on conjugated words) and reports the best wall time of
@@ -124,8 +124,8 @@ def bench_render(data):
 
 
 def bench_factor_reports(data):
-    """Both sides' factor reports, given each loop's chain and phi_1."""
-    return [obstructions._factor_reports(chain, "both", phi1) for chain, phi1 in data]
+    """P's factor report, given each loop's chain and phi_1."""
+    return [obstructions._factor_report(chain, phi1) for chain, phi1 in data]
 
 
 def bench_report_json(data):

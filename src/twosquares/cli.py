@@ -53,7 +53,7 @@ _BOUND = ("--bound", int, None, {"metavar": "L"})
 # read this table.
 _COMMANDS = {
     "check": ("run all criteria plus the witness search",
-              (_FORMAT, _DEPTH, _BOUND, ("--side", ("P", "Q", "both"), "P", {}))),
+              (_FORMAT, _DEPTH, _BOUND, ("--side", ("P", "both"), "P", {}))),
     "ladder": ("print the obstruction ladder", (_FORMAT, _DEPTH)),
     "chain": ("print the grid-lift chain coefficients",
               (_FORMAT, ("--trace", bool, False, {"help": "list visited lattice points"}))),
@@ -151,7 +151,7 @@ _TERM2 = _layout(["{0[0]}", "{0[1]}", "{1}"], "\n    ")
 _TERM1 = _layout(["{}", "{}"], "\n    ")
 _RUNG = _fields(LadderEntry._fields, "\n    ")
 _FIRST = _fields(FirstObstruction._fields, "\n  ")
-_FACTOR = _fields((*FactorReport._fields, "paper_stated"), "\n  ")
+_FACTOR = _fields((*FactorReport._fields, "side", "paper_stated"), "\n  ")
 _VERDICT = _fields(("kind", "reason"), "\n  ")
 _WITNESSED = _layout(['"kind": {}', '"witness": ' + _fields(("a", "b"), "\n    ")], "\n  ", "{{", "}}")
 _LADDER_RUNG = _fields(LadderEntry._fields, "\n  ")
@@ -173,11 +173,10 @@ def _rungs(entries):
 def _report_json(report: ObstructionReport) -> str:
     """json.dumps(report.to_json(), indent=2), byte for byte, written from
     the record through the templates above, one format call per row."""
-    enc, first, v = encode_basestring_ascii, report.first_obstruction, report.verdict
+    enc, first, fr, v = encode_basestring_ascii, report.first_obstruction, report.factor, report.verdict
     polys = _chain_rows(report.chain)
     polys += ["null" if p is None else _rows(sorted(p.items()), _TERM1, "\n  ")
               for p in (report.f, report.g)]
-    fr = report.factors[0] if report.factors else None
     if v.kind == "TwoSquares":
         verdict = _WITNESSED.format(enc(v.kind), *(enc(str(u)) for u in v.witness))
     else:
@@ -186,7 +185,7 @@ def _report_json(report: ObstructionReport) -> str:
         enc(str(report.word)), _layout(map(str, report.expsums), "\n  "), *polys,
         _rows(_rungs(report.ladder), _RUNG, "\n  "),
         "null" if first is None else _FIRST.format(first.k, first.value, enc(first.side)),
-        "null" if fr is None else _FACTOR.format(*fr[:3], enc(fr.side), _FLAG[fr.side == "P"]),
+        "null" if fr is None else _FACTOR.format(*fr, '"P"', "true"),
         verdict)
 
 
@@ -199,11 +198,11 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     if args.command == "check":
-        report = analyze(word, depth=args.depth, bound=args.bound, side=args.side)
+        report = analyze(word, depth=args.depth, bound=args.bound)
         if args.format == "json":
             print(_report_json(report))
         else:
-            print(render_report(report))
+            print(render_report(report, args.side))
         return EXIT_UNKNOWN if report.verdict.kind == "Unknown" else EXIT_OK
 
     if args.command == "ladder":
@@ -261,7 +260,14 @@ def _ladder_line(e: LadderEntry) -> str:
     return f"  k={e.k}  phi={e.phi}{phi_flag}  psi={e.psi}{psi_flag}"
 
 
-def render_report(report: ObstructionReport) -> str:
+def _factor_line(label: str, k: int, l: int, h11: int) -> str:
+    status = "odd: obstructed" if h11 % 2 else "even: passes"
+    return f"factor criterion on {label}: (x-1)^{k} (y-1)^{l} * h with h(1,1) = {h11} ({status})"
+
+
+def render_report(report: ObstructionReport, side: str = "P") -> str:
+    """The text report; side "both" adds Q's factor row, which the cycle
+    law reads off P's (k, l, h11) as (k+1, l-1, -h11)."""
     lines = [f"word: {report.word}", f"exponent sums: {report.expsums}"]
     lines.append(f"P = {report.chain.P}")
     lines.append(f"Q = {report.chain.Q}")
@@ -280,14 +286,11 @@ def render_report(report: ObstructionReport) -> str:
             lines.append(f"first obstruction: {report.first_obstruction.describe()}")
         else:
             lines.append(f"first obstruction: none up to depth {len(report.ladder)}")
-        if report.factors:
-            for fr in report.factors:
-                derived = "" if fr.side == "P" else " [derived extension]"
-                status = "odd: obstructed" if fr.obstructs else "even: passes"
-                lines.append(
-                    f"factor criterion on {fr.side}{derived}: "
-                    f"(x-1)^{fr.k} (y-1)^{fr.l} * h with h(1,1) = {fr.h11} ({status})"
-                )
+        fr = report.factor
+        if fr is not None:
+            lines.append(_factor_line("P", *fr))
+            if side == "both":
+                lines.append(_factor_line("Q [derived extension]", fr.k + 1, fr.l - 1, -fr.h11))
         else:
             lines.append("factor criterion: inapplicable (zero coefficient)")
     if report.search is not None:

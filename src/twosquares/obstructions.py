@@ -67,19 +67,18 @@ class LadderEntry(NamedTuple):
 
 
 class FactorReport(NamedTuple):
-    """Unit-stripping data: source = (x-1)^k (y-1)^l h with h(1,1) = h11."""
+    """Unit-stripping data of P: P = (x-1)^k (y-1)^l h with h(1,1) = h11."""
 
     k: int
     l: int
     h11: int
-    side: str  # "P" | "Q"
 
     @property
     def obstructs(self) -> bool:
         return self.h11 % 2 != 0
 
     def to_json(self) -> dict:
-        return {**self._asdict(), "paper_stated": self.side == "P"}
+        return {**self._asdict(), "side": "P", "paper_stated": True}
 
 
 class Verdict(namedtuple("Verdict", "kind reason witness", defaults=(None, None))):
@@ -118,7 +117,7 @@ class ObstructionReport(NamedTuple):
     ladder: list[LadderEntry]
     first_obstruction: Optional[FirstObstruction]
     verdict: Verdict
-    factors: tuple[FactorReport, ...] = ()
+    factor: Optional[FactorReport] = None
     search: Optional[SearchOutcome] = None
 
     def to_json(self) -> dict:
@@ -131,7 +130,7 @@ class ObstructionReport(NamedTuple):
             "g": None if self.g is None else self.g.to_json(),
             "ladder": [entry._asdict() for entry in self.ladder],
             "first_obstruction": None if first is None else first._asdict(),
-            "factor": self.factors[0].to_json() if self.factors else None,
+            "factor": None if self.factor is None else self.factor.to_json(),
             "verdict": self.verdict.to_json(),
         }
 
@@ -188,31 +187,24 @@ def ladder(w: Word, depth: int = DEFAULT_DEPTH) -> list[LadderEntry]:
     return _ladder_pass(homology_image(w), depth).entries
 
 
-def _factor_reports(chain: ChainPair, side: str, phi1: int) -> tuple[FactorReport, ...]:
-    """The factor criterion on the sides that side selects, P first.
+def _factor_report(chain: ChainPair, phi1: int) -> Optional[FactorReport]:
+    """The factor criterion on P, or None when P is zero.
 
     A loop's chain is a cycle, P(x-1) + Q(y-1) = 0, so P = (y-1) R and
     Q = -(x-1) R for one R: Q is zero iff P is, and when P strips to
-    (k, l, h11), Q strips to (k+1, l-1, -h11).  Q's report is read off
-    P's, so either side obstructs iff both do.  P's report is (0, 1,
-    phi1) when phi1 = f'(1) != 0, f(y) = P(1, y): f != 0, so x-1 does
-    not divide P; the cycle law makes y-1 divide it; (y-1)^2 would make
-    f'(1) vanish; and P = (y-1) h gives h(1, 1) = f'(1).  Only when
-    phi1 = 0 is P stripped, once.
+    (k, l, h11), Q strips to (k+1, l-1, -h11), so Q obstructs iff P
+    does and P's report is the only one kept.  It is (0, 1, phi1) when
+    phi1 = f'(1) != 0, f(y) = P(1, y): f != 0, so x-1 does not divide
+    P; the cycle law makes y-1 divide it; (y-1)^2 would make f'(1)
+    vanish; and P = (y-1) h gives h(1, 1) = f'(1).  Only when phi1 = 0
+    is P stripped, once.
     """
     if not chain.P:
-        return ()
-    k, l, h11 = (0, 1, phi1) if phi1 else chain.P.strip_units()
-    both = (FactorReport(k, l, h11, "P"), FactorReport(k + 1, l - 1, -h11, "Q"))
-    return tuple(fr for fr in both if side in (fr.side, "both"))
+        return None
+    return FactorReport(0, 1, phi1) if phi1 else FactorReport(*chain.P.strip_units())
 
 
-def analyze(
-    w: Word,
-    depth: int = DEFAULT_DEPTH,
-    bound: Optional[int] = None,
-    side: str = "P",
-) -> ObstructionReport:
+def analyze(w: Word, depth: int = DEFAULT_DEPTH, bound: Optional[int] = None) -> ObstructionReport:
     """Run every criterion plus the witness search and combine verdicts.
 
     Precedence: an odd exponent sum proves NotTwoSquares, since every
@@ -223,20 +215,17 @@ def analyze(
     could only confirm absence.  Otherwise a search hit gives TwoSquares
     with a re-verified witness; otherwise Unknown.  The ladder and the factor criterion run
     only on loop words, since the obstruction theory lives on the
-    commutator subgroup.  side selects which of the factor criterion's
-    reports are kept: "P", "Q", "both".  The Q side restates the P side
-    (same h(1,1) up to sign), so side never changes the verdict kind.
+    commutator subgroup.  The factor criterion is reported on P only:
+    Q's report, (k+1, l-1, -h11) by the cycle law, is the CLI's to show.
     The bound defaults to |w|, at most oracle.DEFAULT_BOUND_CAP.
     """
     _check_depth(depth)
-    if side not in ("P", "Q", "both"):
-        raise ValueError(f"side must be 'P', 'Q' or 'both', not {side!r}")
     bound = _search_bound(w, bound)
     expsums = abelianize(w)
     chain = lift_chain(w)
     f = g = first = None
     entries: list[LadderEntry] = []
-    factors: tuple[FactorReport, ...] = ()
+    factor: Optional[FactorReport] = None
     verdict: Optional[Verdict] = None
 
     if expsums[0] % 2 or expsums[1] % 2:
@@ -258,13 +247,12 @@ def analyze(
     else:
         inconclusive = f"no odd obstruction up to depth {depth}"
         f, g, entries, first, parity = _ladder_pass(chain, depth)
-        factors = _factor_reports(chain, side, entries[0].phi)
+        factor = _factor_report(chain, entries[0].phi)
         if parity is not None:
             verdict = Verdict("NotTwoSquares", reason=f"{parity.describe()} is odd")
-        elif factors and factors[0].obstructs:
+        elif factor is not None and factor.obstructs:
             verdict = Verdict(
-                "NotTwoSquares",
-                reason=f"factor criterion on {factors[0].side}: h(1,1) = {factors[0].h11} is odd",
+                "NotTwoSquares", reason=f"factor criterion on P: h(1,1) = {factor.h11} is odd"
             )
 
     search: Optional[SearchOutcome] = None
@@ -287,6 +275,6 @@ def analyze(
         ladder=entries,
         first_obstruction=first,
         verdict=verdict,
-        factors=factors,
+        factor=factor,
         search=search,
     )

@@ -144,7 +144,7 @@ def test_criterion_6_all_vanishing_word():
         assert chain.P.substitute_x1() == Laurent1.zero()
         assert chain.Q.substitute_y1() == Laurent1.zero()
         report = analyze(w)
-        assert report.factors[0].h11 == -1
+        assert report.factor.h11 == -1
         assert report.verdict.kind == "NotTwoSquares"
         assert "factor criterion" in report.verdict.reason
 

@@ -54,6 +54,13 @@ class TestCheck:
         _, out, _ = run_cli(capsys, "check", "--side", "both", "[x,y]")
         assert "factor criterion on Q [derived extension]" in out
 
+    def test_side_q_refused(self, capsys):
+        # Q's row is derived from P's report, so it is shown only beside it
+        code, out, err = run_cli(capsys, "check", "--side", "Q", "[x,y]")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--side" in err
+
     def test_json_roundtrip_byte_identical(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--format", "json", "[x,y]")
         assert code == EXIT_OK
@@ -223,15 +230,30 @@ class TestReportJson:
     def assert_as_json_dumps(report):
         assert cli._report_json(report) == json.dumps(report.to_json(), indent=2)
 
-    @pytest.mark.parametrize("side", ["P", "Q", "both"])
+    @staticmethod
+    def assert_check_prints(report, *argv):
+        """check --format json argv prints the report's JSON, whatever --side is."""
+        code, out, _ = outputs(["check", "--format", "json", *argv])
+        assert code == (EXIT_UNKNOWN if report.verdict.kind == "Unknown" else EXIT_OK), argv
+        assert out == json.dumps(report.to_json(), indent=2) + "\n", argv
+
+    @pytest.mark.parametrize("side", ["P", "both"])
     def test_golden_loop_words(self, side):
         words = test_golden.loop_words()
         assert len(words) == 361
         for w in words:
-            self.assert_as_json_dumps(analyze(parse(w), bound=3, side=side))
+            report = analyze(parse(w), bound=3)
+            self.assert_as_json_dumps(report)
+            self.assert_check_prints(report, "--bound", "3", "--side", side, w)
+
+    def test_json_same_at_every_side(self):
+        # --side picks text rows only: the JSON is P's report either way
+        for w in test_golden.loop_words():
+            both = outputs(["check", "--format", "json", "--side", "both", w])
+            assert both == outputs(["check", "--format", "json", w]), w
 
     @pytest.mark.parametrize("depth", [1, 20])
-    @pytest.mark.parametrize("side", ["P", "Q", "both"])
+    @pytest.mark.parametrize("side", ["P", "both"])
     def test_edge_words(self, depth, side):
         # the identity; non-loop words with an odd sum, with even sums, and
         # with sums 0 mod 4 and an odd area; a word with f = 0; a ladder
@@ -240,13 +262,16 @@ class TestReportJson:
                  "[x,y]", "[x^2,y]", "x^3yX^2yXY^2")
         kinds = set()
         for expr, bound in [(e, 2) for e in exprs] + [("[x^2,y]", 0)]:
-            report = analyze(parse(expr), depth=depth, bound=bound, side=side)
+            report = analyze(parse(expr), depth=depth, bound=bound)
             self.assert_as_json_dumps(report)
+            self.assert_check_prints(report, "--depth", str(depth), "--bound", str(bound),
+                                     "--side", side, expr)
             kinds.add(report.verdict.kind)
         assert kinds == {"TwoSquares", "NotTwoSquares", "Unknown"}
         assert not analyze(all_vanishing_word(), bound=0).f
-        widest = analyze(parse("[x^1000,y^1000]"), bound=0, side=side)  # at the default depth
+        widest = analyze(parse("[x^1000,y^1000]"), bound=0)  # at the default depth
         self.assert_as_json_dumps(widest)
+        self.assert_check_prints(widest, "--bound", "0", "--side", side, "[x^1000,y^1000]")
         assert max(abs(e.phi) for e in widest.ladder).bit_length() == 75
 
     @pytest.mark.parametrize("kind", ["Unknown", "NotTwoSquares"])
@@ -262,14 +287,14 @@ class TestReportJson:
         ("--bound", "0", "[x^2,y]"),
         ("[x,y]",),
         ("--side", "both", "--depth", "20", "[x,y]^2"),
-        ("--side", "Q", "--depth", "1", "x^3yX^2yXY^2"),
+        ("--side", "P", "--depth", "1", "x^3yX^2yXY^2"),
         ("x^3yxY",),
     ])
     def test_check_prints_it(self, capsys, argv):
         options = dict(zip(argv[:-1:2], argv[1:-1:2]))
         bound = options.get("--bound")
         report = analyze(parse(argv[-1]), depth=int(options.get("--depth", DEFAULT_DEPTH)),
-                         bound=None if bound is None else int(bound), side=options.get("--side", "P"))
+                         bound=None if bound is None else int(bound))
         _, out, _ = run_cli(capsys, "check", "--format", "json", *argv)
         assert out == json.dumps(report.to_json(), indent=2) + "\n"
 
@@ -391,7 +416,7 @@ OPTIONS = {
 INTS = ("0", "2", "+1", " 3", "3 ", "0_2", "\u0662", "\uff13")
 VALUES = {
     "--format": (("text", "json"), ("xml", "JSON", " json", "")),
-    "--side": (("P", "Q", "both"), ("p", "R", "Both", "-P")),
+    "--side": (("P", "both"), ("Q", "p", "R", "Both", "-P")),
     "--depth": (INTS, ("1 2", "1__2", "-1", "-0", "x", "", "2.0")),
     "--bound": (INTS, ("1 2", "1__2", "-1", "-0", "x", "", "2.0")),
 }

@@ -1,6 +1,7 @@
 """Obstruction ladder, factor criterion, and the combined analyzer."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from twosquares import (
     Word,
     abelianize,
     analyze,
+    cli,
     conjugate,
     enumerate_reduced,
     in_commutator_subgroup,
@@ -138,33 +140,37 @@ class TestParityObstruction:
 
 class TestFactorCriterion:
     def test_commutator(self):
-        fr = analyze(parse("[x,y]"), bound=0).factors[0]
-        assert (fr.k, fr.l, fr.h11, fr.side) == (0, 1, -1, "P")
+        fr = analyze(parse("[x,y]"), bound=0).factor
+        assert fr == FactorReport(0, 1, -1)
         assert fr.obstructs
+        assert fr.to_json() == {"k": 0, "l": 1, "h11": -1, "side": "P", "paper_stated": True}
 
     def test_all_vanishing_word_is_caught(self):
-        fr = analyze(all_vanishing_word(), bound=0).factors[0]
+        fr = analyze(all_vanishing_word(), bound=0).factor
         assert (fr.k, fr.l, fr.h11) == (1, 2, -1)
         assert fr.obstructs
 
     def test_even_case_passes(self):
-        fr = analyze(parse("[x^2,y]"), bound=0).factors[0]
+        fr = analyze(parse("[x^2,y]"), bound=0).factor
         assert (fr.k, fr.l, fr.h11) == (0, 1, -2)
         assert not fr.obstructs
 
     def test_q_side(self):
-        # Q([x,y]) = x-1 strips to h = 1: odd, agreeing with the P side
-        (fr,) = analyze(parse("[x,y]"), side="Q").factors
-        assert fr.side == "Q"
-        assert (fr.k, fr.l, fr.h11) == (1, 0, 1)
-        assert fr.obstructs
-        assert not fr.to_json()["paper_stated"]
+        # Q([x,y]) = x-1 strips to h = 1: odd, agreeing with the P side;
+        # only the text report at side both shows it, read off P's report
+        g = parse("[x,y]")
+        assert lift_chain(g).Q.strip_units() == (1, 0, 1)
+        report = analyze(g)
+        assert "factor criterion on Q" not in cli.render_report(report)
+        assert cli.render_report(report, "both").splitlines().count(
+            "factor criterion on Q [derived extension]: (x-1)^1 (y-1)^0 * h with h(1,1) = 1"
+            " (odd: obstructed)") == 1
 
 
 class TestCycleLaw:
     """A loop's chain is a cycle, P(x-1) + Q(y-1) = 0, so Q's factor
-    report is read off P's: (k, l, h11) on P gives (k+1, l-1, -h11) on Q.
-    P's is read off phi_1 when phi_1 != 0: (0, 1, phi_1)."""
+    row is read off P's report: (k, l, h11) on P gives (k+1, l-1, -h11)
+    on Q.  P's is read off phi_1 when phi_1 != 0: (0, 1, phi_1)."""
 
     @staticmethod
     def loop_words():
@@ -191,23 +197,26 @@ class TestCycleLaw:
 
     @staticmethod
     def assert_reports_are_strips(g):
-        """analyze's factor reports at side both are the two strips."""
+        """analyze's factor report is P's strip, and the Q row that the
+        text report at side both prints is Q's strip."""
         chain = lift_chain(g)
         assert bool(chain.P) == bool(chain.Q), g
-        reports = analyze(g, bound=0, side="both").factors
+        report = analyze(g, bound=0)
+        q_rows = [line for line in cli.render_report(report, "both").splitlines()
+                  if line.startswith("factor criterion on Q")]
         if chain.P:
-            assert reports == (FactorReport(*chain.P.strip_units(), "P"),
-                               FactorReport(*chain.Q.strip_units(), "Q")), g
+            assert report.factor == FactorReport(*chain.P.strip_units()), g
+            k, l, h11 = chain.Q.strip_units()
+            assert q_rows == [cli._factor_line("Q [derived extension]", k, l, h11)], g
         else:
-            assert reports == ()
+            assert report.factor is None, g
+            assert q_rows == [], g
 
     def test_q_report_is_derived_from_p(self):
         longest = 0
         for g in self.loop_words():
             longest = max(longest, len(g))
             self.assert_reports_are_strips(g)
-            kinds = {analyze(g, bound=0, side=s).verdict.kind for s in ("P", "Q", "both")}
-            assert len(kinds) == 1, g
         assert longest >= 900
 
     def test_reports_equal_strips_on_all_short_loops(self):
@@ -228,7 +237,8 @@ class TestCycleLaw:
 
     def test_one_strip_per_report(self, monkeypatch):
         # P's report is read off phi_1 when phi_1 != 0, so P is stripped
-        # only when phi_1 = 0, and then once, at every side
+        # only when phi_1 = 0, and then once; the text report at side both
+        # reads Q's row off P's report and strips nothing
         calls = []
         strip_units = Laurent2.strip_units
 
@@ -240,10 +250,11 @@ class TestCycleLaw:
         for g, strips in ((parse("[x,y]"), 0), (parse("[x^2,y]"), 0), (parse("[x,y]^2"), 0),
                           (ladder_word(2), 1), (all_vanishing_word(), 1)):
             assert (phi(g) == 0) == bool(strips), g
-            for side in ("P", "Q", "both"):
-                calls.clear()
-                analyze(g, bound=0, side=side)
-                assert len(calls) == strips, (g, side)
+            calls.clear()
+            report = analyze(g, bound=0)
+            assert len(calls) == strips, g
+            cli.render_report(report, "both")
+            assert len(calls) == strips, g
 
 
 class TestAnalyze:
@@ -298,11 +309,41 @@ class TestAnalyze:
                 assert search_with_stats(g).witness is None, g
         assert odd == 924
 
+    def test_no_refutation_is_witnessed_to_length_10(self):
+        # every reduced word of length <= 10 with even exponent sums that
+        # analyze refutes has no witness at bound 5; every loop word is
+        # refuted or witnessed there, and none is both
+        counts = Counter()
+        for g in enumerate_reduced(10):
+            sums = abelianize(g)
+            if sums[0] % 2 or sums[1] % 2:
+                continue
+            loop = sums == (0, 0)
+            verdict = analyze(g, bound=0).verdict
+            refuted = verdict.kind == "NotTwoSquares"
+            if refuted or loop:
+                witnessed = search_with_stats(g, 5).witness is not None
+                assert not (refuted and witnessed), g
+                if not refuted:
+                    how = "witnessed"
+                elif verdict.reason == JOINT_IMAGE_REASON:
+                    how = "refuted by H"
+                else:  # the ladder or the factor criterion, off the loops the area
+                    how = "refuted by a parity test"
+                counts["loop" if loop else "non-loop", how] += 1
+        assert counts == {
+            ("loop", "refuted by a parity test"): 1576,
+            ("loop", "refuted by H"): 240,
+            ("loop", "witnessed"): 785,
+            ("non-loop", "refuted by a parity test"): 4192,
+            ("non-loop", "refuted by H"): 872,
+        }
+
     @pytest.mark.parametrize("word", ["x", "[x,y]", "[x^2,y]"])
     @pytest.mark.parametrize(
         "option",
-        [{"side": "Z"}, {"bound": -1}, {"depth": 0}, {"depth": MAX_DEPTH + 1}],
-        ids=["side", "bound", "depth", "depth_cap"],
+        [{"bound": -1}, {"depth": 0}, {"depth": MAX_DEPTH + 1}],
+        ids=["bound", "depth", "depth_cap"],
     )
     def test_bad_arguments_refused_on_every_word(self, word, option):
         with pytest.raises(ValueError):
@@ -326,8 +367,14 @@ class TestAnalyze:
         assert "no witness" in report.verdict.reason
 
     def test_side_both(self):
-        report = analyze(parse("[x,y]^2"), side="both")
-        assert {fr.side for fr in report.factors} == {"P", "Q"}
+        # one report, P's; the text report at side both adds Q's row
+        report = analyze(parse("[x,y]^2"))
+        assert report.factor == FactorReport(0, 1, -2)
+        rows = [line.split(":")[0] for line in cli.render_report(report, "both").splitlines()
+                if line.startswith("factor criterion")]
+        assert rows == ["factor criterion on P", "factor criterion on Q [derived extension]"]
+        with pytest.raises(TypeError):
+            analyze(parse("[x,y]"), side="both")
 
     def test_json_schema(self):
         j = analyze(parse("[x,y]")).to_json()
