@@ -1,16 +1,18 @@
-"""Time the word kernel on its hot operations.
+"""Time the word kernel, and the layers above it, on their hot operations.
 
 Usage: python3 benchmarks/bench_kernel.py [--repeats N] [--json PATH]
 
-Each workload runs against twosquares.kernel (seven of them against
-parse, on the run-length form str(Word) prints, then lift_chain,
-str(Word), lift_chain on conjugated loops, the text of P and Q, P's
+Twelve of the 24 rows run twosquares.kernel: reduction, products,
+square roots, words_of_length and the witness search.  The other twelve
+run outside it: the fold into the four maps onto SL(2,3) (two rows),
+parse on the run-length form str(Word) prints, lift_chain on random
+words and on conjugated loops, str(Word), the text of P and Q, P's
 factor report on the loop words of length <= 10, the text check
 --format json prints, cli.main on chain and ladder --format json, its
-output captured, analyze on products of two squares, and square_root
-and the search on conjugated words) and reports the best wall time of
-N runs.  --json also writes the rows (name and best ms), the repeats,
-the Python version and the kernel backend to PATH.
+output captured, and analyze on products of two squares.  Each row
+reports the best wall time of N runs.  --json also writes the rows
+(name and best ms), the repeats, the Python version and the kernel
+backend to PATH.
 """
 
 import argparse

@@ -21,7 +21,6 @@ from .laurent import Laurent1, Laurent2
 from .cover import (
     ChainPair,
     NotALoopError,
-    homology_image,
     lift_chain,
     lift_trace,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "Laurent2",
     "ChainPair",
     "NotALoopError",
-    "homology_image",
     "lift_chain",
     "lift_trace",
     "DEFAULT_DEPTH",

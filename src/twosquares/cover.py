@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .laurent import Laurent2
-from .words import Word, _peel, abelianize, in_commutator_subgroup
+from .words import Word, _peel, in_commutator_subgroup
 
 
 class NotALoopError(ValueError):
@@ -123,12 +123,3 @@ def lift_trace(w: Word) -> list[tuple[int, int]]:
         points.append((i, j))
     return points
 
-
-def homology_image(w: Word) -> ChainPair:
-    """lift_chain restricted to loops; the class of w modulo backtracking.
-
-    Raises NotALoopError when w has a nonzero exponent sum.
-    """
-    if not in_commutator_subgroup(w):
-        raise NotALoopError(w, abelianize(w))
-    return lift_chain(w)

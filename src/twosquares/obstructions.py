@@ -23,7 +23,7 @@ from collections import namedtuple
 from typing import NamedTuple, Optional
 
 from . import quotients
-from .cover import ChainPair, homology_image, lift_chain
+from .cover import ChainPair, NotALoopError, lift_chain
 from .laurent import Laurent1
 from .oracle import SearchOutcome, Witness, _search_bound, search_with_stats
 from .words import Word, abelianize
@@ -184,7 +184,10 @@ def phi(w: Word) -> int:
 def ladder(w: Word, depth: int = DEFAULT_DEPTH) -> list[LadderEntry]:
     """Ladder values phi_k, psi_k for k = 1..depth, with definedness flags."""
     _check_depth(depth)
-    return _ladder_pass(homology_image(w), depth).entries
+    expsums = abelianize(w)
+    if expsums != (0, 0):
+        raise NotALoopError(w, expsums)
+    return _ladder_pass(lift_chain(w), depth).entries
 
 
 def _factor_report(chain: ChainPair, phi1: int) -> Optional[FactorReport]:

@@ -1,10 +1,52 @@
-"""Shared generators for randomized tests (all seeded, fully deterministic)."""
+"""Shared generators for randomized tests (all seeded, fully deterministic),
+reference helpers, and the one bound-5 classification of the short loops."""
 
+import functools
 import random
 
 import pytest
 
-from twosquares import Laurent1, Laurent2, Word, abelianize
+from twosquares import (
+    Laurent1,
+    Laurent2,
+    Word,
+    abelianize,
+    analyze,
+    enumerate_reduced,
+    in_commutator_subgroup,
+)
+
+_TO_CHARS = bytes.maketrans(bytes(range(4)), b"xXyY")
+_TO_CODES = bytes.maketrans(b"xXyY", bytes(range(4)))
+
+
+def ref_reduce(codes):
+    """Delete adjacent inverse pairs until none is left."""
+    s = bytes(codes).translate(_TO_CHARS)
+    while True:
+        t = s.replace(b"xX", b"").replace(b"Xx", b"").replace(b"yY", b"").replace(b"Yy", b"")
+        if t == s:
+            return s.translate(_TO_CODES)
+        s = t
+
+
+def mat_mul(m, k, p):
+    (a, b, c, d), (e, f, g, h) = m, k
+    return (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p
+
+
+def mat_inv(m, p):
+    a, b, c, d = m
+    return d, -b % p, -c % p, a
+
+
+@functools.cache
+def short_loop_reports():
+    """(g, analyze(g, bound=5)) for the 2,601 loop words g of length <= 10, in shortlex order.
+
+    Built once per session: the quotient and kernel tests both read it.
+    """
+    return tuple((g, analyze(g, bound=5)) for g in enumerate_reduced(10) if in_commutator_subgroup(g))
 
 
 def random_reduced(rng: random.Random, length: int) -> Word:

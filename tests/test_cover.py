@@ -1,18 +1,15 @@
 """Grid lifts: chain examples, endpoint/cycle laws, deck and module actions."""
 
-import pytest
-
 import twosquares.cover
 from twosquares import (
     ChainPair,
     Laurent2,
-    NotALoopError,
     Word,
     abelianize,
     analyze,
     commutator,
     conjugate,
-    homology_image,
+    ladder,
     lift_chain,
     lift_trace,
     parse,
@@ -166,26 +163,30 @@ class TestLiftAgainstReference:
 
     def test_exponent_sums_counted_once(self, rng):
         # a Word keeps its exponent sums, so analyze and the lift's
-        # core-walk guard, or homology_image and the guard, count them once
-        # between them, and the chain is unchanged, term order included
+        # core-walk guard, or ladder's loop check and the guard, count them
+        # once between them, and the chain is unchanged, term order included
+        counted = []
+
         class CountingBytes(bytes):
             def count(self, *args):
                 counted.append(args)
                 return super().count(*args)
 
+        def counting(w):
+            counted.clear()
+            return Word._from_reduced(CountingBytes(w.codes))
+
         words = list(self.conjugated_loops(rng))
         words += [parse(e) for e in ("xy^5X", "yx^3Y", "x^3yxY", "[x,y]", "x", "")]
         for w in words:
             chain = reference_lift(w)
-            routes = [lambda u: analyze(u, depth=1, bound=0).chain]
+            report = analyze(counting(w), depth=1, bound=0)
+            assert len(counted) == 4, str(w)
+            assert list(report.chain.P.items()) == sorted(chain.P.items()), str(w)
+            assert list(report.chain.Q.items()) == sorted(chain.Q.items()), str(w)
             if abelianize(w) == (0, 0):
-                routes.append(homology_image)
-            for route in routes:
-                counted = []
-                c = route(Word._from_reduced(CountingBytes(w.codes)))
+                assert ladder(counting(w), 1) == report.ladder, str(w)
                 assert len(counted) == 4, str(w)
-                assert list(c.P.items()) == sorted(chain.P.items()), str(w)
-                assert list(c.Q.items()) == sorted(chain.Q.items()), str(w)
 
 
 class TestTrace:
@@ -281,27 +282,12 @@ class TestTranslate:
 
 
 class TestHomologyImage:
-    def test_commutator(self):
-        c = homology_image(parse("[x,y]"))
-        assert (c.P, c.Q) == (ONE - Y, X - ONE)
-
-    def test_null_homotopic(self):
-        w = parse("xyY X")  # reduces to the empty word
-        assert w == Word()
-        c = homology_image(w)
-        assert not c.P and not c.Q
-
     def test_twisted_commutator(self):
         # (y [x,y] y^-1) [x,y]^-1: chain = (y-1) * chain([x,y]), by hand
         w = conjugate(parse("[x,y]"), Word("y")) * ~parse("[x,y]")
-        c = homology_image(w)
+        c = lift_chain(w)
         assert c.P == -(Y - ONE) * (Y - ONE)
         assert c.Q == (Y - ONE) * (X - ONE)
-
-    def test_rejects_non_loops(self):
-        with pytest.raises(NotALoopError) as info:
-            homology_image(parse("x^2Y"))
-        assert info.value.expsums == (2, -1)
 
     def test_json_shape(self):
         j = lift_chain(parse("[x,y]")).to_json()

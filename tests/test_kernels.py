@@ -14,22 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twosquares
-from twosquares import _kernel_py, analyze, enumerate_reduced, in_commutator_subgroup, kernel, quotients
+from twosquares import _kernel_py, kernel, quotients
 from twosquares.kernel import inv, mul, reduce_word, search_square_pair, square_root, words_of_length
 from twosquares.obstructions import JOINT_IMAGE_REASON
 
-_TO_CHARS = bytes.maketrans(bytes(range(4)), b"xXyY")
-_TO_CODES = bytes.maketrans(b"xXyY", bytes(range(4)))
-
-
-def ref_reduce(codes):
-    """Delete adjacent inverse pairs until none is left."""
-    s = bytes(codes).translate(_TO_CHARS)
-    while True:
-        t = s.replace(b"xX", b"").replace(b"Xx", b"").replace(b"yY", b"").replace(b"Yy", b"")
-        if t == s:
-            return s.translate(_TO_CODES)
-        s = t
+from conftest import mat_inv, mat_mul, ref_reduce, short_loop_reports
 
 
 def ref_inv(codes):
@@ -299,16 +288,6 @@ class TestCandidateTable:
         assert peak < 3 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
 
 
-def mat_mul(m, k, p):
-    (a, b, c, d), (e, f, g, h) = m, k
-    return (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p
-
-
-def mat_inv(m, p):
-    a, b, c, d = m
-    return d, -b % p, -c % p, a
-
-
 def image(q, codes):
     """The matrix of a word in q, from q's images of x and y alone."""
     letters = {0: q.letters[0], 2: q.letters[2]}
@@ -327,14 +306,30 @@ def searched_loop_words():
     through the four maps' joint image instead, and no longer searches.
     """
     by_kind = {"TwoSquares": [], "Unknown": []}
-    for g in enumerate_reduced(10):
-        if in_commutator_subgroup(g):
-            verdict = analyze(g, bound=5).verdict
-            if verdict.kind == "TwoSquares":
-                by_kind["TwoSquares"].append(g.codes)
-            elif verdict.reason == JOINT_IMAGE_REASON:
-                by_kind["Unknown"].append(g.codes)
+    for g, report in short_loop_reports():
+        if report.verdict.kind == "TwoSquares":
+            by_kind["TwoSquares"].append(g.codes)
+        elif report.verdict.reason == JOINT_IMAGE_REASON:
+            by_kind["Unknown"].append(g.codes)
     return by_kind
+
+
+@functools.cache
+def sieve_start_targets():
+    """The a of lengths 3-5, six (target, bound) pairs, and the plain scan of the first four.
+
+    a^2 b^2 for each a and a random b of about 700 letters, and b itself,
+    at bound 5; a^2 b^2 for a b of about 25k letters, and a random word
+    of about 25k letters, at bound 7.  Both sieve starts read the one scan.
+    """
+    rng = random.Random(11)
+    b = ref_reduce(bytes(rng.randrange(4) for _ in range(700)))
+    long_b = ref_reduce(bytes(rng.randrange(4) for _ in range(25000)))
+    long_miss = ref_reduce(bytes(rng.randrange(4) for _ in range(50000)))
+    a_s = [level[len(level) // 2] for level in (list(words_of_length(n)) for n in (3, 4, 5))]
+    targets = [(mul(mul(a, a), mul(b, b)), 5) for a in a_s] + [(b, 5)]
+    targets += [(mul(mul(a_s[0], a_s[0]), mul(long_b, long_b)), 7), (long_miss, 7)]
+    return a_s, targets, [ref_search(g, bound) for g, bound in targets[:4]]
 
 
 def kept_at_lengths_3_to_5(g):
@@ -391,18 +386,13 @@ class TestQuotientSieve:
         if first_sieved:
             for q in quotients.maps():
                 monkeypatch.setattr(q, "good", (b"\x01" * 256,) * len(q.elements))
-        rng = random.Random(11)
-        b = ref_reduce(bytes(rng.randrange(4) for _ in range(700)))
-        long_b = ref_reduce(bytes(rng.randrange(4) for _ in range(25000)))
-        long_miss = ref_reduce(bytes(rng.randrange(4) for _ in range(50000)))
-        a_s = [level[len(level) // 2] for level in (list(words_of_length(n)) for n in (3, 4, 5))]
-        targets = [(mul(mul(a, a), mul(b, b)), 5) for a in a_s] + [(b, 5)]
-        targets += [(mul(mul(a_s[0], a_s[0]), mul(long_b, long_b)), 7), (long_miss, 7)]
+        a_s, targets, scanned = sieve_start_targets()
         assert all(24000 < len(g) < 26000 for g, _ in targets[-2:])
         got = [search_square_pair(g, bound) for g, bound in targets]
         assert [a for a, _, _ in got] == a_s + [None, a_s[0], None]
         assert [checked for _, _, checked in got] == [36, 108, 324, 485, 36, 4373]
-        assert got[:4] == [ref_search(g, bound) for g, bound in targets[:4]]
+        assert got[:4] == scanned
+        b = targets[3][0]
         assert (0 in table_mask(b, 5)) == (first_sieved == 0)  # the stand-in keeps every a
 
     def test_every_cached_level_is_sieved(self):

@@ -73,6 +73,9 @@ class TestPhiPsi:
             phi(Word("x"))
         with pytest.raises(NotALoopError):
             ladder(Word("xy"), 3)
+        with pytest.raises(NotALoopError) as info:
+            ladder(parse("x^2Y"))
+        assert info.value.expsums == (2, -1)
 
 
 class TestLadder:
@@ -173,8 +176,8 @@ class TestCycleLaw:
     on Q.  P's is read off phi_1 when phi_1 != 0: (0, 1, phi_1)."""
 
     @staticmethod
-    def loop_words():
-        yield from (g for g in enumerate_reduced(10) if in_commutator_subgroup(g))
+    def extra_loops():
+        """Conjugated [x^m,y^n] and a commutator of about 1000 letters."""
         for m, n in ((1, 1), (2, 3), (3, 3), (4, 1), (5, 2), (6, 4)):
             yield conjugate(parse(f"[x^{m},y^{n}]"), parse("yxY^2x"))
         rng = random.Random(12)
@@ -212,20 +215,16 @@ class TestCycleLaw:
             assert report.factor is None, g
             assert q_rows == [], g
 
-    def test_q_report_is_derived_from_p(self):
-        longest = 0
-        for g in self.loop_words():
-            longest = max(longest, len(g))
-            self.assert_reports_are_strips(g)
-        assert longest >= 900
-
     def test_reports_equal_strips_on_all_short_loops(self):
-        # both branches: P's report read off phi_1 != 0, and P stripped
+        # every loop of length <= 10, in both branches: P's report read off
+        # phi_1 != 0, and P stripped; then the longer extra loops
         loops = [g for g in enumerate_reduced(10) if in_commutator_subgroup(g)]
         assert len(loops) == 2601
         branches = {bool(phi(g)) for g in loops if g}
         assert branches == {False, True}
-        for g in loops:
+        extra = list(self.extra_loops())
+        assert max(map(len, extra)) >= 900
+        for g in loops + extra:
             self.assert_reports_are_strips(g)
 
     def test_reports_equal_strips_on_long_loops(self):
@@ -328,14 +327,21 @@ class TestAnalyze:
                     how = "witnessed"
                 elif verdict.reason == JOINT_IMAGE_REASON:
                     how = "refuted by H"
-                else:  # the ladder or the factor criterion, off the loops the area
-                    how = "refuted by a parity test"
+                elif verdict.reason.startswith("factor criterion"):
+                    how = "refuted by the factor criterion"
+                elif "signed area" in verdict.reason:
+                    how = "refuted by the area test"
+                else:  # a ladder value, named as in "phi_2 = -1 is odd"
+                    how = "refuted by " + verdict.reason.split(" = ")[0]
                 counts["loop" if loop else "non-loop", how] += 1
+        # no key for the factor criterion: to length 10 it decides no word
         assert counts == {
-            ("loop", "refuted by a parity test"): 1576,
+            ("loop", "refuted by phi_1"): 1304,
+            ("loop", "refuted by phi_2"): 184,
+            ("loop", "refuted by psi_2"): 88,
             ("loop", "refuted by H"): 240,
             ("loop", "witnessed"): 785,
-            ("non-loop", "refuted by a parity test"): 4192,
+            ("non-loop", "refuted by the area test"): 4192,
             ("non-loop", "refuted by H"): 872,
         }
 

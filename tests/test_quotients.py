@@ -11,17 +11,13 @@ from twosquares import (
     abelianize,
     analyze,
     enumerate_reduced,
-    in_commutator_subgroup,
     parse,
     quotients,
     search_with_stats,
 )
 from twosquares.obstructions import JOINT_IMAGE_REASON
 
-
-def mat_mul(m, k, p=3):
-    (a, b, c, d), (e, f, g, h) = m, k
-    return (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p
+from conftest import mat_mul, short_loop_reports
 
 
 def non_products_of_h():
@@ -32,7 +28,7 @@ def non_products_of_h():
     """
     maps = quotients.maps()
     numbers = [{m: i for i, m in enumerate(q.elements)} for q in maps]
-    times = [[bytes(number[mat_mul(m, k)] for k in q.elements) for m in q.elements]
+    times = [[bytes(number[mat_mul(m, k, q.p)] for k in q.elements) for m in q.elements]
              for q, number in zip(maps, numbers)]  # times[i][a][b]: a times b in map i
     letters = [[number[k] for k in q.letters] for q, number in zip(maps, numbers)]
     identity = (0, 0, 0, 0)
@@ -111,13 +107,11 @@ def test_refutations_up_to_length_8_are_sound():
 def test_every_loop_word_up_to_length_10_is_decided():
     kinds = Counter()
     joint = []
-    for g in enumerate_reduced(10):
-        if in_commutator_subgroup(g):
-            report = analyze(g, bound=5)
-            kinds[report.verdict.kind] += 1
-            if report.verdict.reason == JOINT_IMAGE_REASON:
-                assert report.search is None
-                joint.append(g)
+    for g, report in short_loop_reports():
+        kinds[report.verdict.kind] += 1
+        if report.verdict.reason == JOINT_IMAGE_REASON:
+            assert report.search is None
+            joint.append(g)
     assert kinds == {"NotTwoSquares": 1816, "TwoSquares": 785}
     # exactly the words the search misses at bound 5 once the parity tests pass
     assert len(joint) == 240
